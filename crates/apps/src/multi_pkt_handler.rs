@@ -97,22 +97,26 @@ pub struct PooledReport {
     pub processed: u64,
     /// Packets that matched the filter.
     pub matched: u64,
-    /// Chunks that moved between workers by stealing.
+    /// Chunks delivered by a worker outside their home queue's shard
+    /// (see [`wirecap::PoolDelivery::stolen`]).
     pub stolen_chunks: u64,
     /// Per-worker accounting from the pool.
     pub workers: Vec<PoolWorkerReport>,
 }
 
-/// Runs a work-stealing [`wirecap::ConsumerPool`] of `workers` threads
-/// over *all* queues of a live WireCAP engine until the NIC stops —
-/// the multi-core variant of [`run`] (DESIGN.md §4.11).
+/// Runs a [`wirecap::ConsumerPool`] of `workers` threads over *all*
+/// queues of a live WireCAP engine until the NIC stops — the multi-core
+/// variant of [`run`] (DESIGN.md §4.11).
 ///
 /// Where [`run`] binds one thread to each queue (and a skewed flow mix
-/// leaves most of them idle), the pool lets any worker steal sealed
-/// chunks from a hot queue's backlog, so delivery throughput follows
-/// the worker count rather than the flow distribution. Each worker
-/// thread keeps its own [`PktHandler`] (the BPF filter program is
-/// compiled once per worker, not per chunk).
+/// leaves most of them idle), every pool worker claims sealed chunks
+/// from every queue, so delivery throughput follows the worker count
+/// rather than the flow distribution — even when one flow pins all
+/// traffic to one queue. With `cfg.in_order` the engine re-serializes
+/// delivery per home queue through a bounded reorder buffer, trading a
+/// little latency for seal-order delivery. Each worker thread keeps its
+/// own [`PktHandler`] (the BPF filter program is compiled once per
+/// worker, not per chunk).
 pub fn run_pooled(nic: Arc<LiveNic>, cfg: WireCapConfig, x: u32, workers: usize) -> PooledReport {
     let queues = nic.queue_count();
     let cap = LiveWireCap::builder()
@@ -288,48 +292,6 @@ pub fn run_pooled_flows(
     report
 }
 
-/// [`run_concurrent`] with online flow analytics — the concurrent
-/// claim-path variant of [`run_pooled_flows`].
-pub fn run_concurrent_flows(
-    nic: Arc<LiveNic>,
-    cfg: WireCapConfig,
-    x: u32,
-    workers: usize,
-    in_order: bool,
-    flow_cfg: FlowSinkConfig,
-    k: usize,
-) -> FlowReport {
-    let mut cfg = cfg;
-    cfg.concurrent_queue = true;
-    cfg.in_order = in_order;
-    run_pooled_flows(nic, cfg, x, workers, flow_cfg, k)
-}
-
-/// Runs a COREC-style *concurrent* pool of `workers` threads over all
-/// queues of a live WireCAP engine until the NIC stops — the
-/// single-hot-queue variant of [`run_pooled`] (DESIGN.md §4.12).
-///
-/// Where [`run_pooled`] still assigns each queue to one owning worker
-/// and rebalances by stealing whole chunks, this mode lets every
-/// worker claim chunks straight off the *same* queue's sealed stream
-/// via a lock-free claim word, so even traffic pinned to one queue is
-/// drained by all `workers` threads at once. With `in_order` the
-/// engine additionally re-serializes delivery per home queue through a
-/// bounded reorder buffer, trading a little latency for seal-order
-/// delivery.
-pub fn run_concurrent(
-    nic: Arc<LiveNic>,
-    cfg: WireCapConfig,
-    x: u32,
-    workers: usize,
-    in_order: bool,
-) -> PooledReport {
-    let mut cfg = cfg;
-    cfg.concurrent_queue = true;
-    cfg.in_order = in_order;
-    run_pooled(nic, cfg, x, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_flow_mode_conserves_on_one_hot_queue() {
+    fn flow_mode_conserves_on_one_hot_queue() {
         let nic = LiveNic::new(2, 4096);
         let flow = FlowKey::udp(
             Ipv4Addr::new(131, 225, 2, 9),
@@ -482,12 +444,11 @@ mod tests {
         };
         let mut cfg = WireCapConfig::basic(64, 32, 0);
         cfg.capture_timeout_ns = 1_000_000;
-        let report = run_concurrent_flows(
+        let report = run_pooled_flows(
             Arc::clone(&nic),
             cfg,
             3,
             3,
-            false,
             FlowSinkConfig {
                 table_capacity: 1024,
                 topk_capacity: 16,
@@ -501,15 +462,15 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_run_processes_everything_on_one_hot_queue() {
+    fn pooled_run_processes_everything_on_one_hot_queue() {
         for in_order in [false, true] {
             let nic = LiveNic::new(2, 4096);
             let injector = {
                 let nic = Arc::clone(&nic);
                 std::thread::spawn(move || {
                     let mut b = PacketBuilder::new();
-                    // One flow, one queue: the concurrent claim path's
-                    // reason for existing.
+                    // One flow, one queue: every worker must claim
+                    // from the same hot queue.
                     let flow = FlowKey::udp(
                         Ipv4Addr::new(131, 225, 2, 9),
                         7_777,
@@ -527,7 +488,8 @@ mod tests {
             };
             let mut cfg = WireCapConfig::basic(64, 32, 0);
             cfg.capture_timeout_ns = 1_000_000;
-            let report = run_concurrent(Arc::clone(&nic), cfg, 3, 3, in_order);
+            cfg.in_order = in_order;
+            let report = run_pooled(Arc::clone(&nic), cfg, 3, 3);
             injector.join().unwrap();
             assert_eq!(report.processed, 1000, "in_order={in_order}");
             assert_eq!(report.matched, 1000, "in_order={in_order}");
@@ -536,10 +498,6 @@ mod tests {
                 report.workers.iter().map(|r| r.packets).sum::<u64>(),
                 1000,
                 "worker reports disagree with handler counts (in_order={in_order})"
-            );
-            assert_eq!(
-                report.stolen_chunks, 0,
-                "concurrent mode claims, it never steals"
             );
         }
     }

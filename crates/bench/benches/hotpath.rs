@@ -317,7 +317,7 @@ fn stamped_path(
         // Delivery stamp: one lazy clock read per drain call, shared
         // by every chunk it recycles — the engine's refill-batch
         // amortization (`LiveConsumer::refill` reads the clock once
-        // per refill, `steal::worker_loop` once per burst).
+        // per refill, a pool worker once per claim burst).
         let mut delivered_ns = 0u64;
         // Latency intervals arrive in runs (one delivery stamp per
         // drain, poll-batch-shared seal stamps): a compare per chunk,
@@ -1336,7 +1336,7 @@ fn bench_hotpath(c: &mut Criterion) {
          {pool_packets} packets per mode"
     );
     let base = scaling::baseline_point(pool_queues, pool_packets);
-    let pooled = scaling::pooled_point(pool_queues, pool_workers, pool_packets);
+    let pooled = scaling::pooled_point(pool_queues, pool_workers, pool_packets, false);
     let consumer_pool = ConsumerPoolEntry {
         queues: pool_queues,
         workers: pool_workers,
@@ -1348,7 +1348,7 @@ fn bench_hotpath(c: &mut Criterion) {
     };
     eprintln!(
         "hotpath consumer_pool: single {:.0} p/s, pooled {:.0} p/s, speedup {:.2}x \
-         ({} chunks stolen)",
+         ({} chunks claimed off-shard)",
         consumer_pool.single_pps,
         consumer_pool.pooled_pps,
         consumer_pool.pool_speedup,
@@ -1406,16 +1406,16 @@ fn bench_hotpath(c: &mut Criterion) {
         dispatch_overhead * 100.0
     );
 
-    // Single-hot-queue entry (DESIGN.md §4.12): all load on one queue,
-    // COREC-style concurrent claim-mode workers overlapping the
-    // blocking per-chunk stage with no republish-through-the-owner
-    // middleman. The gate compares claim-mode worker counts against
-    // each other: `scripts/check.sh` gates `hotq_speedup` at ≥ 1.5×.
+    // Single-hot-queue entry (DESIGN.md §4.11): all load on one queue,
+    // pool workers claiming from the same claim queue and overlapping
+    // the blocking per-chunk stage. The gate compares worker counts
+    // against each other: `scripts/check.sh` gates `hotq_speedup` at
+    // ≥ 1.5×.
     let hotq_workers = 4usize;
     let hotq_packets: u64 = if quick() { 40_000 } else { 150_000 };
     eprintln!("hotpath single_hot_queue: 1 queue, 1 vs {hotq_workers} workers, {hotq_packets} packets per mode");
-    let hotq_one = scaling::concurrent_point(1, 1, hotq_packets, false);
-    let hotq_many = scaling::concurrent_point(1, hotq_workers, hotq_packets, false);
+    let hotq_one = scaling::pooled_point(1, 1, hotq_packets, false);
+    let hotq_many = scaling::pooled_point(1, hotq_workers, hotq_packets, false);
     let single_hot_queue = SingleHotQueueEntry {
         workers: hotq_workers,
         packets: hotq_packets,
@@ -1603,8 +1603,8 @@ struct Entry {
     disk_writer_overhead_raw: f64,
 }
 
-/// Multi-core delivery scaling: pooled workers (with stealing and
-/// adaptive parking) vs one consumer per queue, identical skewed
+/// Multi-core delivery scaling: pooled claim workers (with adaptive
+/// parking) vs one consumer per queue, identical skewed
 /// traffic and per-chunk work. Gated at `pool_speedup >= 1.5` by
 /// `scripts/check.sh`.
 #[derive(serde::Serialize)]
@@ -1618,8 +1618,8 @@ struct ConsumerPoolEntry {
     stolen_chunks: u64,
 }
 
-/// Single-hot-queue scaling: COREC-style concurrent claim-mode workers
-/// draining one queue, N workers vs 1. Gated at `hotq_speedup >= 1.5`
+/// Single-hot-queue scaling: pool workers claiming from one queue, N
+/// workers vs 1. Gated at `hotq_speedup >= 1.5`
 /// by `scripts/check.sh`.
 #[derive(serde::Serialize)]
 struct SingleHotQueueEntry {

@@ -5,25 +5,20 @@
 //! workload of [`bench::scaling`] and reports aggregate delivered pps.
 //! The per-queue baseline pins delivery to exactly one thread per
 //! queue (idle ones busy-yield); the pooled rows run a
-//! [`wirecap::ConsumerPool`] with chunk stealing and adaptive parking
-//! over the same queues. Conservation is asserted inside every data
-//! point before its rate is reported.
+//! [`wirecap::ConsumerPool`] whose workers claim from every queue, with
+//! adaptive parking. Conservation is asserted inside every data point
+//! before its rate is reported.
 //!
-//! A second sweep targets the pool's residual weak spot: *all* load on
-//! one queue. Work stealing still funnels every sealed chunk through
-//! the hot queue's owning worker before a thief can take it; the
-//! COREC-style concurrent claim mode (DESIGN.md §4.12) lets every
-//! worker claim chunks straight off the same queue. That sweep (1
-//! queue, workers ∈ {1, 2, 4}, plus an in-order variant) is written
-//! separately as `fig_scaling_hotq.{json,txt}`.
+//! A second sweep puts *all* load on one queue, so every worker claims
+//! from the same claim queue. That sweep (1 queue, workers ∈ {1, 2, 4},
+//! plus an in-order variant) is written separately as
+//! `fig_scaling_hotq.{json,txt}`.
 //!
 //! `--small` runs the single 2-queue/2-worker point plus its baseline
 //! and a reduced hot-queue sweep (the CI smoke configuration
 //! `scripts/check.sh` uses).
 
-use bench::scaling::{
-    baseline_point, concurrent_point, pooled_point, ScalingPoint, FRAME, WORK_PASSES,
-};
+use bench::scaling::{baseline_point, pooled_point, ScalingPoint, FRAME, WORK_PASSES};
 use bench::{write_json, write_table, Opts};
 use serde::Serialize;
 
@@ -34,8 +29,8 @@ struct HotqDoc {
     work_passes: usize,
     packets_per_point: u64,
     points: Vec<ScalingPoint>,
-    /// Concurrent 1q/maxw pps over concurrent 1q/1w pps — whether N
-    /// claim-mode workers actually multiply a single hot queue's
+    /// Pooled 1q/maxw pps over pooled 1q/1w pps — whether N claiming
+    /// workers actually multiply a single hot queue's
     /// delivery rate (`scripts/check.sh` gates the criterion variant
     /// of this number at ≥ 1.5×).
     hotq_speedup: f64,
@@ -72,7 +67,7 @@ fn main() {
         points.push(baseline_point(q, packets));
         for &w in &worker_counts {
             eprintln!("fig_scaling: pooled, {q} queue(s) x {w} worker(s), {packets} packets");
-            points.push(pooled_point(q, w, packets));
+            points.push(pooled_point(q, w, packets, false));
         }
     }
 
@@ -132,21 +127,19 @@ fn main() {
         },
     );
 
-    // Single-hot-queue sweep: 1 queue, claim-mode workers overlapping
+    // Single-hot-queue sweep: 1 queue, claiming workers overlapping
     // the blocking per-chunk stage, plus the in-order variant at the
     // top worker count to show the reorder buffer's cost.
     let hotq_packets: u64 = if opts.small { 40_000 } else { 200_000 };
     let hotq_workers: Vec<usize> = vec![1, 2, 4];
     let mut hotq: Vec<ScalingPoint> = Vec::new();
     for &w in &hotq_workers {
-        eprintln!(
-            "fig_scaling: concurrent hot queue, 1 queue x {w} worker(s), {hotq_packets} packets"
-        );
-        hotq.push(concurrent_point(1, w, hotq_packets, false));
+        eprintln!("fig_scaling: hot queue, 1 queue x {w} worker(s), {hotq_packets} packets");
+        hotq.push(pooled_point(1, w, hotq_packets, false));
     }
     let max_w = *hotq_workers.last().expect("non-empty hotq sweep");
-    eprintln!("fig_scaling: concurrent hot queue (in-order), 1 queue x {max_w} worker(s)");
-    hotq.push(concurrent_point(1, max_w, hotq_packets, true));
+    eprintln!("fig_scaling: hot queue (in-order), 1 queue x {max_w} worker(s)");
+    hotq.push(pooled_point(1, max_w, hotq_packets, true));
 
     let one_w_pps = hotq[0].pps;
     let max_w_pps = hotq[hotq_workers.len() - 1].pps;
@@ -169,7 +162,7 @@ fn main() {
         &opts.out,
         "fig_scaling_hotq",
         &format!(
-            "Single hot queue, concurrent claim mode \
+            "Single hot queue, pooled claim workers \
              ({hotq_packets} packets, {FRAME}B frames, work x{WORK_PASSES}); \
              1q/{max_w}w vs 1q/1w: {hotq_speedup:.2}x"
         ),
@@ -180,7 +173,7 @@ fn main() {
         &opts.out,
         "fig_scaling_hotq",
         &HotqDoc {
-            benchmark: "single-hot-queue scaling: concurrent claim-mode workers".into(),
+            benchmark: "single-hot-queue scaling: pooled claim workers".into(),
             frame_bytes: FRAME,
             work_passes: WORK_PASSES,
             packets_per_point: hotq_packets,

@@ -1,5 +1,5 @@
-//! Multi-core delivery scaling: work-stealing consumer pools against
-//! the one-consumer-per-queue baseline (`fig_scaling`).
+//! Multi-core delivery scaling: consumer pools against the
+//! one-consumer-per-queue baseline (`fig_scaling`).
 //!
 //! The workload is the paper's problem case: RSS concentrates a single
 //! heavy flow onto one receive queue, and the consumer is *heavy* — a
@@ -9,12 +9,12 @@
 //! to each queue, the hot queue's delivery rate is capped at
 //! M / io-latency no matter how many queues the NIC has: the blocking
 //! stage serializes, and the other consumers sit idle busy-yielding. A
-//! [`wirecap::ConsumerPool`] breaks the cap: idle workers steal sealed
-//! chunks from the hot queue's worker and overlap their blocking
-//! stages, so aggregate pps scales with the worker count (toward
-//! linear, until capture itself becomes the bottleneck) — and workers
-//! with nothing to steal park on the delivery gate instead of burning
-//! the cycles the busy threads need.
+//! [`wirecap::ConsumerPool`] breaks the cap: every worker claims sealed
+//! chunks from the hot queue's claim queue and overlaps its blocking
+//! stage with the others', so aggregate pps scales with the worker
+//! count (toward linear, until capture itself becomes the bottleneck)
+//! — and workers with nothing to claim park on the delivery gate
+//! instead of burning the cycles the busy threads need.
 //!
 //! Every data point asserts the engine's conservation laws before
 //! reporting a rate — a scaling number from a run that lost packets or
@@ -22,7 +22,6 @@
 //!
 //! * `delivered + delivery_drop == captured`
 //! * `captured + capture_drop == offered`
-//! * Σ `steal_in_chunks` == Σ `steal_out_chunks`
 //! * Σ `recycled_chunks` == Σ `sealed_chunks`
 
 use netproto::{FlowKey, Packet, PacketBuilder};
@@ -55,9 +54,8 @@ pub const CHUNK_IO_US: u64 = 100;
 #[derive(Debug, Clone, Serialize)]
 pub struct ScalingPoint {
     /// `"per_queue"` (one `LiveConsumer` thread per queue), `"pooled"`
-    /// (one work-stealing `ConsumerPool` over all queues),
-    /// `"concurrent"` (COREC-style claim-based pool, DESIGN.md §4.12),
-    /// or `"concurrent_ordered"` (same, with in-order delivery).
+    /// (one `ConsumerPool` over all queues, DESIGN.md §4.11), or
+    /// `"pooled_ordered"` (same, with in-order delivery).
     pub mode: &'static str,
     /// Receive queues on the NIC.
     pub queues: usize,
@@ -69,11 +67,11 @@ pub struct ScalingPoint {
     pub elapsed_s: f64,
     /// Aggregate delivered packets per second.
     pub pps: f64,
-    /// Chunks that moved between pool workers by stealing.
+    /// Chunks a pool worker delivered from a queue outside its shard.
     pub stolen_chunks: u64,
     /// Times pool workers parked on the delivery gate.
     pub worker_parks: u64,
-    /// Claim CAS races lost by concurrent-mode workers (0 elsewhere).
+    /// Claim CAS races lost by consumers of the queues.
     pub claim_contention: u64,
 }
 
@@ -132,9 +130,6 @@ pub fn assert_conserved(snap: &EngineSnapshot, offered: u64) {
         offered,
         "captured + dropped must cover every offered packet"
     );
-    let steal_in: u64 = snap.queues.iter().map(|q| q.steal_in_chunks).sum();
-    let steal_out: u64 = snap.queues.iter().map(|q| q.steal_out_chunks).sum();
-    assert_eq!(steal_in, steal_out, "steal in/out drifted");
     let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
     let recycled: u64 = snap.queues.iter().map(|q| q.recycled_chunks).sum();
     assert_eq!(recycled, sealed, "chunk slots leaked");
@@ -199,30 +194,13 @@ pub fn baseline_point(queues: usize, packets: u64) -> ScalingPoint {
 }
 
 /// Runs the pooled configuration: a `ConsumerPool` of `workers` threads
-/// over all queues, with stealing and adaptive parking.
-pub fn pooled_point(queues: usize, workers: usize, packets: u64) -> ScalingPoint {
-    pool_point_with("pooled", engine_config(), queues, workers, packets)
-}
-
-/// Runs the concurrent-claim configuration (DESIGN.md §4.12): every
-/// pool worker claims sealed chunks straight off the same queues'
-/// shared claim streams, so even a single hot queue is drained by all
-/// `workers` threads at once. `in_order` additionally re-serializes
-/// delivery per home queue through the bounded reorder buffer.
-pub fn concurrent_point(
-    queues: usize,
-    workers: usize,
-    packets: u64,
-    in_order: bool,
-) -> ScalingPoint {
+/// claiming from all queues, with adaptive parking. `in_order`
+/// additionally re-serializes delivery per home queue through the
+/// bounded reorder buffer.
+pub fn pooled_point(queues: usize, workers: usize, packets: u64, in_order: bool) -> ScalingPoint {
     let mut cfg = engine_config();
-    cfg.concurrent_queue = true;
     cfg.in_order = in_order;
-    let mode = if in_order {
-        "concurrent_ordered"
-    } else {
-        "concurrent"
-    };
+    let mode = if in_order { "pooled_ordered" } else { "pooled" };
     pool_point_with(mode, cfg, queues, workers, packets)
 }
 
@@ -286,25 +264,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_modes_conserve_and_report_rates() {
+    fn every_mode_conserves_and_reports_rates() {
         let b = baseline_point(2, 20_000);
         assert_eq!(b.packets, 20_000);
         assert!(b.pps > 0.0);
-        let p = pooled_point(2, 2, 20_000);
-        assert_eq!(p.packets, 20_000);
-        assert!(p.pps > 0.0);
-    }
-
-    #[test]
-    fn concurrent_modes_conserve_and_report_rates() {
-        let c = concurrent_point(1, 2, 20_000, false);
-        assert_eq!(c.packets, 20_000);
-        assert!(c.pps > 0.0);
-        assert_eq!(c.mode, "concurrent");
-        assert_eq!(c.stolen_chunks, 0, "claim mode never steals");
-        let o = concurrent_point(1, 2, 20_000, true);
-        assert_eq!(o.packets, 20_000);
-        assert!(o.pps > 0.0);
-        assert_eq!(o.mode, "concurrent_ordered");
+        for (queues, in_order, mode) in [(2, false, "pooled"), (1, true, "pooled_ordered")] {
+            let p = pooled_point(queues, 2, 20_000, in_order);
+            assert_eq!(p.packets, 20_000);
+            assert!(p.pps > 0.0);
+            assert_eq!(p.mode, mode);
+        }
     }
 }

@@ -75,7 +75,7 @@ impl BuddyGroup {
     /// owns: the members at positions ≡ `worker` (mod `workers`).
     /// Shards are disjoint, cover the whole group, and differ in size
     /// by at most one queue; with `workers > members` the extra
-    /// workers own nothing and live off stealing alone.
+    /// workers own nothing and only claim from other workers' shards.
     pub fn worker_shard(&self, worker: usize, workers: usize) -> Vec<usize> {
         assert!(workers > 0, "a pool needs at least one worker");
         self.members

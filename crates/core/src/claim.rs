@@ -1,16 +1,14 @@
-//! Concurrent single-queue consumption: lock-free chunk claiming and
-//! optional in-order re-serialization (DESIGN.md §4.12).
+//! The engine's delivery primitive: lock-free chunk claiming and
+//! optional in-order re-serialization (DESIGN.md §4.11).
 //!
-//! WireCAP's buddy groups and the work-stealing pool rebalance load
-//! *across* queues, but until this module a single scorching queue was
-//! still drained by exactly one worker at a time. Following COREC
-//! ("Concurrent Non-Blocking Single-Queue Receive Driver for Low
-//! Latency Networking"), [`ClaimQueue`] lets any number of pool
-//! workers claim sealed chunks from the *same* capture stream through
-//! a per-cell CAS-claimed sequence/ticket word. Per "From RDMA to
-//! RDCA", every ticket word lives on its own cache line so claim
-//! traffic for neighbouring chunks never bounces a shared line between
-//! cores.
+//! Following COREC ("Concurrent Non-Blocking Single-Queue Receive
+//! Driver for Low Latency Networking"), every sealed chunk is published
+//! into its target queue's [`ClaimQueue`], and any number of consumers
+//! — `LiveConsumer`s or pool workers — claim from the *same* capture
+//! stream through a per-cell CAS-claimed sequence/ticket word. Per
+//! "From RDMA to RDCA", every ticket word lives on its own cache line
+//! so claim traffic for neighbouring chunks never bounces a shared line
+//! between cores.
 //!
 //! Two primitives:
 //!
@@ -29,14 +27,13 @@
 //!   one queue at a time, while other workers keep claiming.
 //!
 //! Recycling stays home-pool-only: claiming moves *handles* (sealed
-//! chunk descriptors), never slots, exactly like stealing — the worker
-//! that finishes a chunk still returns the slot to the chunk's home
-//! arena free list.
+//! chunk descriptors), never slots — the consumer that finishes a chunk
+//! returns the slot to the chunk's home arena free list.
 
 pub use imp::{Claim, ClaimQueue, ReorderBuffer};
 
 // Raw-cell internals: `MaybeUninit` storage guarded by the per-cell
-// ticket protocol, same opt-in pattern as `spsc` and `steal`.
+// ticket protocol, same opt-in pattern as `spsc`.
 #[allow(unsafe_code)]
 mod imp {
     use std::cell::UnsafeCell;

@@ -9,12 +9,10 @@ use std::fmt;
 pub const CELL_BYTES: usize = 2048;
 
 /// Estimated hot bytes per pool chunk *beyond* its arena cells: the
-/// SPSC ring slot the sealed chunk is published through (~64 B with
-/// padding) plus its recycle-queue slot (~16 B). Concurrent claiming
-/// adds a cache-padded ticket word per slot; in-order delivery adds a
-/// reorder-buffer slot. Used by the [`TuningMode::CacheResident`]
+/// cache-padded claim-queue cell the sealed chunk is published through
+/// (128 B) plus its recycle-queue slot (~16 B); in-order delivery adds
+/// a reorder-buffer slot. Used by the [`TuningMode::CacheResident`]
 /// sizing pass (DESIGN.md §4.16).
-const CHUNK_RING_SLOT_BYTES: usize = 64;
 const CHUNK_RECYCLE_SLOT_BYTES: usize = 16;
 const CHUNK_CLAIM_SLOT_BYTES: usize = 128;
 const CHUNK_REORDER_SLOT_BYTES: usize = 64;
@@ -69,18 +67,14 @@ pub struct TuningPlan {
     /// (`Throughput` mode's lazy recycle).
     pub recycle_depth: usize,
     /// Estimated per-queue hot working set at (`m`, `r`): arena
-    /// cells plus ring, recycle, claim-ticket and reorder slots where
-    /// configured.
+    /// cells plus claim, recycle and (in-order) reorder slots.
     pub working_set_bytes: u64,
 }
 
 impl TuningPlan {
     /// Hot bytes one chunk pins: its cells plus per-slot structures.
-    fn chunk_bytes(m: usize, concurrent: bool, in_order: bool) -> u64 {
-        let mut b = m * CELL_BYTES + CHUNK_RING_SLOT_BYTES + CHUNK_RECYCLE_SLOT_BYTES;
-        if concurrent {
-            b += CHUNK_CLAIM_SLOT_BYTES;
-        }
+    fn chunk_bytes(m: usize, in_order: bool) -> u64 {
+        let mut b = m * CELL_BYTES + CHUNK_CLAIM_SLOT_BYTES + CHUNK_RECYCLE_SLOT_BYTES;
         if in_order {
             b += CHUNK_REORDER_SLOT_BYTES;
         }
@@ -148,19 +142,11 @@ pub struct WireCapConfig {
     /// (cores after the capture threads) with `sched_setaffinity`.
     /// A no-op on platforms without it.
     pub pin_threads: bool,
-    /// COREC-style concurrent single-queue consumption (DESIGN.md
-    /// §4.12): sealed chunks are published to lock-free per-queue
-    /// claim queues and any `ConsumerPool` worker may claim from any
-    /// member queue, so one scorching queue is drained by many cores.
-    /// Incompatible with per-queue [`LiveConsumer`] handles; delivery
-    /// order within a queue is unspecified unless `in_order` is set.
-    ///
-    /// [`LiveConsumer`]: ../live/struct.LiveConsumer.html
-    pub concurrent_queue: bool,
-    /// In-order delivery for concurrent consumption: chunks are
+    /// In-order delivery for `ConsumerPool` workers: chunks are
     /// sequence-stamped at seal time and a fixed-capacity per-queue
     /// reorder buffer re-serializes delivery in strictly increasing
-    /// sequence order. Requires `concurrent_queue`.
+    /// sequence order. Without it, pool workers claiming one queue
+    /// concurrently deliver its chunks in unspecified order.
     pub in_order: bool,
     /// Span-tracing sample rate: 1-in-N chunks per queue get a full
     /// lifecycle span (seal → publish → claim → deliver → recycle,
@@ -203,7 +189,6 @@ impl WireCapConfig {
             yield_iters: 64,
             park_timeout_ns: 1_000_000,
             pin_threads: false,
-            concurrent_queue: false,
             in_order: false,
             span_sample_n: 0,
             tuning: TuningMode::Throughput,
@@ -259,9 +244,6 @@ impl WireCapConfig {
         if !(0.0..=1.0).contains(&self.offload_penalty) || self.offload_penalty == 0.0 {
             return Err(ConfigError::InvalidPenalty(self.offload_penalty));
         }
-        if self.in_order && !self.concurrent_queue {
-            return Err(ConfigError::InOrderRequiresConcurrent);
-        }
         if let TuningMode::CacheResident { llc_bytes } = self.tuning {
             if llc_bytes == 0 {
                 return Err(ConfigError::InvalidLlcBudget);
@@ -303,22 +285,18 @@ impl WireCapConfig {
                 m: self.m,
                 r: self.r,
                 recycle_depth: 0,
-                working_set_bytes: TuningPlan::chunk_bytes(
-                    self.m,
-                    self.concurrent_queue,
-                    self.in_order,
-                ) * self.r as u64,
+                working_set_bytes: TuningPlan::chunk_bytes(self.m, self.in_order) * self.r as u64,
             },
             TuningMode::CacheResident { llc_bytes } => {
                 let budget = (llc_bytes / queues as u64).max(1);
                 let mut m = self.m;
                 while m > 16
                     && m.is_multiple_of(2)
-                    && TuningPlan::chunk_bytes(m, self.concurrent_queue, self.in_order) > budget / 4
+                    && TuningPlan::chunk_bytes(m, self.in_order) > budget / 4
                 {
                     m /= 2;
                 }
-                let chunk = TuningPlan::chunk_bytes(m, self.concurrent_queue, self.in_order);
+                let chunk = TuningPlan::chunk_bytes(m, self.in_order);
                 let segments = self.ring_size / m;
                 let floor = segments + 1;
                 let r = usize::try_from(budget / chunk)
@@ -408,9 +386,6 @@ pub enum ConfigError {
     InvalidThreshold(f64),
     /// The offload CPU-efficiency penalty must lie in (0, 1].
     InvalidPenalty(f64),
-    /// In-order delivery re-serializes the concurrent claim stream, so
-    /// it is meaningless without `concurrent_queue`.
-    InOrderRequiresConcurrent,
     /// A `CacheResident` LLC budget of zero bytes can fit no pool.
     InvalidLlcBudget,
 }
@@ -431,9 +406,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InvalidPenalty(p) => {
                 write!(f, "offload penalty {p} must be in (0, 1]")
-            }
-            ConfigError::InOrderRequiresConcurrent => {
-                write!(f, "in_order delivery requires concurrent_queue")
             }
             ConfigError::InvalidLlcBudget => {
                 write!(f, "CacheResident llc_bytes must be non-zero")
@@ -541,17 +513,8 @@ impl WireCapConfigBuilder {
         self
     }
 
-    /// COREC-style concurrent single-queue consumption: pool workers
-    /// claim sealed chunks from lock-free per-queue claim queues
-    /// instead of each queue having one drainer (DESIGN.md §4.12).
-    pub fn concurrent_queue(mut self, on: bool) -> Self {
-        self.cfg.concurrent_queue = on;
-        self
-    }
-
-    /// In-order delivery for concurrent consumption (requires
-    /// [`concurrent_queue`](Self::concurrent_queue); validated at
-    /// [`build`](Self::build)).
+    /// In-order delivery for `ConsumerPool` workers: per-queue seal
+    /// order survives concurrent claiming.
     pub fn in_order(mut self, on: bool) -> Self {
         self.cfg.in_order = on;
         self
@@ -735,13 +698,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_queue_knobs() {
-        let cfg = WireCapConfig::builder()
-            .concurrent_queue(true)
-            .in_order(true)
-            .build()
-            .unwrap();
-        assert!(cfg.concurrent_queue);
+    fn delivery_knobs() {
+        let cfg = WireCapConfig::builder().in_order(true).build().unwrap();
         assert!(cfg.in_order);
         assert_eq!(cfg.span_sample_n, 0, "span tracing defaults off");
         assert_eq!(
@@ -752,13 +710,7 @@ mod tests {
                 .span_sample_n,
             64
         );
-        assert!(!WireCapConfig::basic(64, 32, 0).concurrent_queue);
         assert!(!WireCapConfig::basic(64, 32, 0).in_order);
-        // In-order without concurrent claiming is meaningless.
-        assert_eq!(
-            WireCapConfig::builder().in_order(true).build().unwrap_err(),
-            ConfigError::InOrderRequiresConcurrent
-        );
     }
 
     #[test]
@@ -773,14 +725,14 @@ mod tests {
         let applied = plan.apply(cfg);
         assert_eq!(applied.m, cfg.m);
         assert_eq!(applied.r, cfg.r);
-        // Working set: R chunks of M cells + ring/recycle slots each.
-        assert_eq!(plan.working_set_bytes, 100 * (256 * 2048 + 64 + 16));
+        // Working set: R chunks of M cells + claim/recycle slots each.
+        assert_eq!(plan.working_set_bytes, 100 * (256 * 2048 + 128 + 16));
     }
 
     #[test]
     fn cache_resident_plan_fits_budget() {
         // 8 MiB across 2 queues = 4 MiB/queue. At M = 64 a chunk pins
-        // 64·2048 + 80 = 131 152 B → R = 31; segments = 16, floor 17.
+        // 64·2048 + 144 = 131 216 B → R = 31; segments = 16, floor 17.
         let mut cfg = WireCapConfig::basic(64, 400, 0);
         cfg.tuning = TuningMode::CacheResident { llc_bytes: 8 << 20 };
         cfg.validate().unwrap();
@@ -812,7 +764,7 @@ mod tests {
     fn cache_resident_halves_m_for_tiny_budgets() {
         // 512 KiB/queue: a 256-cell chunk (512 KiB) is itself the whole
         // budget, so M halves until a chunk takes ≤ a quarter of it —
-        // 256 → 128 → 64 → 32 (32·2048 + 80 ≈ 64 KiB ≤ 128 KiB).
+        // 256 → 128 → 64 → 32 (32·2048 + 144 ≈ 64 KiB ≤ 128 KiB).
         let mut cfg = WireCapConfig::basic(256, 100, 0);
         cfg.tuning = TuningMode::CacheResident {
             llc_bytes: 512 << 10,

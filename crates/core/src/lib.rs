@@ -51,11 +51,12 @@
 
 #![deny(missing_docs)]
 // Unsafe code is denied everywhere except the audited hot-path modules
-// ([`arena`], [`spsc`], [`claim`], and [`steal`]'s deque/affinity
-// internals), which opt back in with module-level
+// ([`arena`], [`spsc`], [`claim`]) and the `sched_setaffinity` shim
+// behind [`pin_to_core`], which opt back in with module-level
 // `#[allow(unsafe_code)]` around a safe public API.
 #![deny(unsafe_code)]
 
+mod affinity;
 pub mod arena;
 pub mod backend;
 pub mod buddy;

@@ -22,12 +22,13 @@
 //!   the chunk it is filling, and consumers read borrowed `&[u8]` slices
 //!   through [`ChunkView`] ([`LiveConsumer::view`]). A [`LiveChunk`] is
 //!   a ~16-byte handle, not a packet vector;
-//! * chunk hand-off uses one [`BatchRing`] per (target queue, producer)
-//!   pair — strictly single-producer, so a whole batch of chunks is
-//!   published with a single release store. Buddy-group offloading picks
-//!   the target ring; because each producer owns its row of rings, the
-//!   offload path needs no fallback and can never lose a chunk to a full
-//!   queue;
+//! * chunk hand-off uses one lock-free [`ClaimQueue`] per target queue
+//!   (DESIGN.md §4.11), the only delivery path: every capture thread
+//!   publishes into it, and [`LiveConsumer`]s and [`ConsumerPool`]
+//!   workers claim from it in seal order. Buddy-group offloading picks
+//!   the target queue; each claim queue holds every chunk in existence
+//!   (`queues × R`), so the offload path needs no fallback and can never
+//!   lose a chunk to a full queue;
 //! * recycling returns the sealed slot through a small MPMC queue sized
 //!   R — it can never be full because only R slots exist per queue.
 //!
@@ -43,9 +44,8 @@
 use crate::arena::{ChunkArena, ChunkView, FreeSlot, SealedSlot};
 use crate::backend::{CaptureBackend, LiveWireCapBuilder};
 use crate::buddy::{BuddyGroup, BuddyGroups};
-use crate::claim::{ClaimQueue, ReorderBuffer};
+use crate::claim::{Claim, ClaimQueue, ReorderBuffer};
 use crate::config::{WireCapConfig, CELL_BYTES};
-use crate::spsc::{BatchRing, MAX_BATCH};
 use crate::steal::{available_cores, pin_to_core, AdaptivePoller, ConsumerPool, WakeupGate};
 use crossbeam::queue::ArrayQueue;
 use netproto::Packet;
@@ -61,6 +61,9 @@ use telemetry::{
 
 /// Packets pulled from the NIC queue per batch.
 const NIC_POP_BATCH: usize = 256;
+
+/// Chunks a [`LiveConsumer`] claims per inbox refill.
+const REFILL_BATCH: usize = 64;
 
 /// A captured chunk in the live engine: a sealed arena slot plus the
 /// metadata a consumer needs to view and recycle it. The payload stays
@@ -104,7 +107,7 @@ impl LiveChunk {
     }
 
     /// Seal-order sequence number within the home queue (monotonic from
-    /// 0 per queue). In in-order concurrent mode delivery follows this
+    /// 0 per queue). With `in_order` set, pool delivery follows this
     /// ordering exactly.
     pub fn seq(&self) -> u64 {
         self.seq
@@ -138,9 +141,12 @@ impl LiveChunk {
 }
 
 pub(crate) struct Shared {
-    /// `rings[target][producer]`: the SPSC batch ring carrying chunks
-    /// captured by `producer` to `target`'s consumers.
-    pub(crate) rings: Vec<Vec<BatchRing<LiveChunk>>>,
+    /// The delivery path (DESIGN.md §4.11): one lock-free claim queue
+    /// per *target* queue. Every capture thread is a producer on every
+    /// target's queue (buddy offload crosses queues), so each is sized
+    /// to hold every chunk in existence (`queues × R`) and closed by
+    /// producer countdown.
+    pub(crate) claims: Vec<ClaimQueue<LiveChunk>>,
     /// Per-home-queue recycle queues carrying sealed slots back to the
     /// capture thread. Capacity R; can never be full.
     pub(crate) recycle: Vec<ArrayQueue<SealedSlot>>,
@@ -152,20 +158,12 @@ pub(crate) struct Shared {
     /// their own cache line and never false-share on the hot path.
     pub(crate) tel: Registry,
     /// Woken whenever a capture thread publishes chunks or closes its
-    /// rings; pool workers park here when their queues go quiet.
+    /// claim queues; pool workers park here when their queues go quiet.
     pub(crate) delivery_gate: WakeupGate,
     /// Woken at shutdown; capture threads park here when the NIC is
     /// idle (NIC arrivals are invisible to the gate, so capture parks
     /// are bounded by the adaptive poller's park timeout).
     pub(crate) capture_gate: WakeupGate,
-    /// Concurrent single-queue consumption (DESIGN.md §4.12): one
-    /// lock-free claim queue per *target* queue, replacing the SPSC
-    /// rings as the delivery path when `cfg.concurrent_queue` is set.
-    /// Every capture thread is a producer on every target's queue
-    /// (buddy offload crosses queues), so each is sized to hold every
-    /// chunk in existence (`queues × R`) and closed by producer
-    /// countdown.
-    pub(crate) claims: Option<Vec<ClaimQueue<LiveChunk>>>,
     /// In-order mode: one reorder buffer per *home* queue (capacity R)
     /// re-serializing claimed chunks by seal sequence.
     pub(crate) reorder: Option<Vec<ReorderBuffer<LiveChunk>>>,
@@ -260,24 +258,16 @@ impl LiveWireCap {
             freelists.push(slots);
         }
         let shared = Arc::new(Shared {
-            rings: (0..queues)
-                .map(|_| {
-                    (0..queues)
-                        .map(|_| BatchRing::with_capacity(cfg.r))
-                        .collect()
-                })
+            claims: (0..queues)
+                .map(|_| ClaimQueue::new(queues * cfg.r, queues))
                 .collect(),
             recycle: (0..queues).map(|_| ArrayQueue::new(cfg.r)).collect(),
             arenas,
             tel: Registry::new(queues),
             delivery_gate: WakeupGate::new(),
             capture_gate: WakeupGate::new(),
-            claims: cfg.concurrent_queue.then(|| {
-                (0..queues)
-                    .map(|_| ClaimQueue::new(queues * cfg.r, queues))
-                    .collect()
-            }),
-            reorder: (cfg.concurrent_queue && cfg.in_order)
+            reorder: cfg
+                .in_order
                 .then(|| (0..queues).map(|_| ReorderBuffer::new(cfg.r)).collect()),
             recycle_depth: plan.recycle_depth,
             tuning,
@@ -346,17 +336,16 @@ impl LiveWireCap {
         }
     }
 
-    /// Starts a [`ConsumerPool`]: `workers` threads consuming the
-    /// queues of `group` with chunk-granularity work stealing between
-    /// them and adaptive polling when idle (DESIGN.md §4.11). The pool
-    /// must be the group's *only* consumer — do not also attach
-    /// [`LiveConsumer`]s to its queues. `handler` runs once per
-    /// delivered chunk, on whichever worker drained or stole it; the
-    /// pool recycles the chunk home when the handler returns.
+    /// Starts a [`ConsumerPool`]: `workers` threads claiming chunks
+    /// from every queue of `group`, with adaptive polling when idle
+    /// (DESIGN.md §4.11). The pool must be the group's *only* consumer
+    /// — do not also attach [`LiveConsumer`]s to its queues. `handler`
+    /// runs once per delivered chunk, on whichever worker claimed it;
+    /// the pool recycles the chunk home when the handler returns.
     ///
     /// Join order at end-of-run: stop the NIC, [`ConsumerPool::join`]
-    /// *after* [`Self::shutdown`] has closed the rings — or simply join
-    /// the pool once `shutdown` returns.
+    /// *after* [`Self::shutdown`] has closed the claim queues — or
+    /// simply join the pool once `shutdown` returns.
     pub fn consumer_pool<F>(&self, group: &BuddyGroup, workers: usize, handler: F) -> ConsumerPool
     where
         F: Fn(crate::steal::PoolDelivery<'_>) + Send + Sync + 'static,
@@ -370,26 +359,15 @@ impl LiveWireCap {
         )
     }
 
-    /// A consumer handle for queue `q` (the application side).
-    ///
-    /// # Panics
-    ///
-    /// In concurrent single-queue mode (`cfg.concurrent_queue`) the
-    /// claim queues are the only delivery path — attach a
-    /// [`Self::consumer_pool`] instead.
+    /// A consumer handle for queue `q` (the application side). Several
+    /// handles on one queue claim from it concurrently.
     pub fn consumer(&self, q: usize) -> LiveConsumer {
-        assert!(
-            !self.cfg.concurrent_queue,
-            "concurrent_queue mode delivers through consumer_pool(), not per-queue consumers"
-        );
-        assert!(q < self.shared.rings.len());
-        let queues = self.shared.rings.len();
+        let queues = self.shared.claims.len();
+        assert!(q < queues);
         LiveConsumer {
             q,
             shared: Arc::clone(&self.shared),
             inbox: VecDeque::new(),
-            scratch: Vec::new(),
-            rr: 0,
             pending: None,
             cursor: 0,
             tally: vec![std::cell::Cell::new((0, 0)); queues],
@@ -490,10 +468,7 @@ fn queue_telemetry(
     // NIC-side accounting flows through the one fold in
     // `BackendQueue::fill_telemetry`, the same for every backend.
     backend.queue(q).fill_telemetry(&mut t);
-    t.capture_queue_len = shared.rings[q].iter().map(|r| r.len() as u64).sum();
-    if let Some(claims) = shared.claims.as_ref() {
-        t.capture_queue_len += claims[q].len() as u64;
-    }
+    t.capture_queue_len = shared.claims[q].len() as u64;
     if let Some(reorder) = shared.reorder.as_ref() {
         t.reorder_occupancy = reorder[q].len();
     }
@@ -519,7 +494,7 @@ fn engine_snapshot(
     EngineSnapshot {
         engine: cfg.name(),
         tuning: Some(shared.tuning.clone()),
-        queues: (0..shared.rings.len())
+        queues: (0..shared.claims.len())
             .map(|q| queue_telemetry(shared, backend, cfg, q))
             .collect(),
         workers: shared.tel.worker_telemetry(),
@@ -562,7 +537,7 @@ fn capture_thread(
         // after the capture threads (see `ConsumerPool::spawn`).
         pin_to_core(q % available_cores());
     }
-    let queues = shared.rings.len();
+    let queues = shared.claims.len();
     let queue = backend.queue(q);
     let arena = Arc::clone(&shared.arenas[q]);
     let mut poller = AdaptivePoller::from_config(&cfg);
@@ -710,7 +685,7 @@ fn capture_thread(
                 || (backend.is_stopped() && queue.depth() == 0);
             if ending {
                 // Close semantics: flush the in-progress chunk without
-                // waiting for the timeout, then close our rings.
+                // waiting for the timeout, then close our claim queues.
                 if let Some(last) = st.current.take() {
                     if last.is_empty() {
                         st.free.push(last);
@@ -747,16 +722,11 @@ fn capture_thread(
                     }
                 }
                 flush(&shared, &mut st);
-                for target in 0..queues {
-                    shared.rings[target][q].close();
-                }
-                // Concurrent mode: this thread is a producer on every
-                // target's claim queue; count it out of each so pool
-                // workers can observe end-of-stream.
-                if let Some(claims) = shared.claims.as_ref() {
-                    for claim in claims {
-                        claim.producer_done();
-                    }
+                // This thread is a producer on every target's claim
+                // queue; count it out of each so consumers can observe
+                // end-of-stream.
+                for claim in &shared.claims {
+                    claim.producer_done();
                 }
                 // Parked consumers must observe the closes promptly.
                 shared.delivery_gate.notify();
@@ -799,9 +769,11 @@ fn stage(
         (Some(t), Some(g)) => {
             st.lens.clear();
             st.lens.extend(
-                shared.rings.iter().enumerate().map(|(tq, row)| {
-                    row.iter().map(|r| r.len()).sum::<usize>() + st.outbox[tq].len()
-                }),
+                shared
+                    .claims
+                    .iter()
+                    .zip(&st.outbox)
+                    .map(|(claim, staged)| claim.len() + staged.len()),
             );
             let target = g.place(q, &st.lens, cfg.capture_queue_capacity(), t);
             cap.capture_queue_depth.record(st.lens[target] as u64);
@@ -859,14 +831,11 @@ fn wall_ns() -> u64 {
         .map_or(0, |d| d.as_nanos() as u64)
 }
 
-/// Publishes every staged chunk. Each ring is per-producer with capacity
-/// ≥ R, and at most R chunks homed here exist, so the loop always drains.
-/// In concurrent single-queue mode the claim queues replace the rings;
-/// each is sized `queues × R` (every chunk in existence fits), so the
-/// defensive full-queue spin can never engage.
+/// Publishes every staged chunk. Each claim queue is sized `queues × R`
+/// (every chunk in existence fits), so the defensive full-queue spin can
+/// never engage.
 fn flush(shared: &Shared, st: &mut CaptureState) {
-    let q = st.q;
-    let cap = &shared.tel.queue(q).cap;
+    let cap = &shared.tel.queue(st.q).cap;
     let mut published = false;
     // Publish stamp for sampled chunks: one lazy clock read per flush,
     // shared by every sampled chunk in it (mirrors the poll-batch seal
@@ -882,34 +851,16 @@ fn flush(shared: &Shared, st: &mut CaptureState) {
             }
         }
     }
-    if let Some(claims) = shared.claims.as_ref() {
-        for (target, staged) in st.outbox.iter_mut().enumerate() {
-            if staged.is_empty() {
-                continue;
-            }
-            cap.batch_size.record(staged.len() as u64);
-            published = true;
-            for chunk in staged.drain(..) {
-                let mut item = chunk;
-                while let Err(back) = claims[target].push(item) {
-                    item = back;
-                    std::thread::yield_now();
-                }
-            }
+    for (claim, staged) in shared.claims.iter().zip(st.outbox.iter_mut()) {
+        if staged.is_empty() {
+            continue;
         }
-        if published {
-            shared.delivery_gate.notify();
-        }
-        return;
-    }
-    for (target, staged) in st.outbox.iter_mut().enumerate() {
-        while !staged.is_empty() {
-            let pushed = shared.rings[target][q].push_batch(staged);
-            if pushed == 0 {
+        cap.batch_size.record(staged.len() as u64);
+        published = true;
+        for mut item in staged.drain(..) {
+            while let Err(back) = claim.push(item) {
+                item = back;
                 std::thread::yield_now();
-            } else {
-                cap.batch_size.record(pushed as u64);
-                published = true;
             }
         }
     }
@@ -923,8 +874,8 @@ fn flush(shared: &Shared, st: &mut CaptureState) {
 /// A thread-safe read lens over a running engine's arenas and disk-side
 /// telemetry, independent of any per-queue consumer.
 ///
-/// [`LiveConsumer`] is deliberately single-threaded (it owns the SPSC
-/// consumer end and the recycle path), but the capture-to-disk
+/// [`LiveConsumer`] is deliberately single-threaded (it owns its inbox
+/// and the recycle path), but the capture-to-disk
 /// subsystem splits work across a drainer thread (owns the consumer)
 /// and a writer thread (encodes packets to the file). The writer only
 /// needs to *read* chunk payloads and bump the `disk` counter shard —
@@ -945,7 +896,7 @@ impl ChunkLens {
 
     /// The engine's queue count.
     pub fn queues(&self) -> usize {
-        self.shared.rings.len()
+        self.shared.claims.len()
     }
 
     /// Queue `q`'s disk-sink counter shard (multi-writer counters; the
@@ -1001,11 +952,8 @@ impl std::fmt::Debug for RegistryHandle {
 pub struct LiveConsumer {
     q: usize,
     shared: Arc<Shared>,
-    /// Chunks popped in a batch but not yet handed to the application.
+    /// Chunks claimed in a batch but not yet handed to the application.
     inbox: VecDeque<LiveChunk>,
-    scratch: Vec<LiveChunk>,
-    /// Round-robin cursor over inbound per-producer rings.
-    rr: usize,
     /// pcap-source iteration state.
     pending: Option<LiveChunk>,
     cursor: usize,
@@ -1034,46 +982,49 @@ impl LiveConsumer {
         }
     }
 
-    /// Pops a batch from each inbound ring into the local inbox.
+    /// Claims a batch from the queue's claim queue into the local inbox.
     ///
-    /// Fast-recycle mode (`CacheResident` tuning): the pop is capped at
-    /// the plan's recycle depth, so the consumer never holds more
+    /// Fast-recycle mode (`CacheResident` tuning): the claim is capped
+    /// at the plan's recycle depth, so the consumer never holds more
     /// sealed-but-unrecycled chunks than the bound — each one goes back
     /// to the capture thread while its cells are still cache-warm,
-    /// instead of queueing a full `MAX_BATCH` behind the handler.
+    /// instead of queueing a full batch behind the handler.
     fn refill(&mut self) -> bool {
         self.flush_tally();
-        let producers = self.shared.rings[self.q].len();
         let depth = self.shared.recycle_depth;
         let mut budget = if depth > 0 {
             depth.saturating_sub(self.inbox.len()).max(1)
         } else {
-            usize::MAX
+            REFILL_BATCH
         };
-        let mut got = false;
-        for i in 0..producers {
-            let p = (self.rr + i) % producers;
-            if budget == 0 {
-                break;
-            }
-            let n =
-                self.shared.rings[self.q][p].pop_batch(&mut self.scratch, MAX_BATCH.min(budget));
-            budget -= n;
-            if n > 0 {
-                got = true;
+        let claims = &self.shared.claims[self.q];
+        let first = self.inbox.len();
+        while budget > 0 {
+            match claims.try_claim() {
+                Claim::Claimed(chunk) => {
+                    self.inbox.push_back(chunk);
+                    budget -= 1;
+                }
+                // Another consumer of this queue won the cell; the
+                // cursor moved, so retrying makes progress.
+                Claim::Contended => {
+                    self.shared.tel.queue(self.q).pool.claim_contention.inc();
+                    std::hint::spin_loop();
+                }
+                Claim::Empty => break,
             }
         }
-        self.rr = (self.rr + 1) % producers;
+        let got = self.inbox.len() > first;
         if got {
             // One clock read per batch stamps the delivery moment for
-            // every chunk just popped (see `delivered_ns`).
+            // every chunk just claimed (see `delivered_ns`).
             let now = clock::mono_ns();
             self.delivered_ns.set(now);
-            // Span convention for the per-queue consumer: the pop *is*
-            // acquisition *and* delivery (there is no claim contention
-            // and the handler runs inline), so the claim, reorder and
-            // deliver stages collapse to zero and the stage sum equals
-            // the end-to-end latency exactly.
+            // Span convention for the per-queue consumer: the claim
+            // *is* acquisition *and* delivery (the handler runs
+            // inline), so the claim, reorder and deliver stages
+            // collapse to zero and the stage sum equals the end-to-end
+            // latency exactly.
             // The capture-to-delivery interval closes at the refill
             // stamp, so it is recorded here too — not per chunk at
             // recycle time (this consumer is the single writer of its
@@ -1083,7 +1034,7 @@ impl LiveConsumer {
             // histogram flush per run.
             let mut lat =
                 telemetry::RunRecorder::new(&self.shared.tel.queue(self.q).app.latency_ns);
-            for chunk in self.scratch.iter_mut() {
+            for chunk in self.inbox.range_mut(first..) {
                 let sealed_ns = chunk.seal.sealed_ns();
                 if sealed_ns > 0 {
                     lat.push(now.saturating_sub(sealed_ns));
@@ -1097,7 +1048,6 @@ impl LiveConsumer {
             }
             lat.finish();
         }
-        self.inbox.extend(self.scratch.drain(..));
         got
     }
 
@@ -1122,7 +1072,7 @@ impl LiveConsumer {
             if self.refill() {
                 continue;
             }
-            if self.shared.rings[self.q].iter().all(|r| r.is_closed()) {
+            if self.shared.claims[self.q].is_closed() {
                 // Every producer has closed; one final drain closes the
                 // push-then-close race window.
                 if self.refill() {
@@ -1208,13 +1158,13 @@ impl LiveConsumer {
 impl Drop for LiveConsumer {
     fn drop(&mut self) {
         // A consumer departing mid-run (early shutdown, panic unwind)
-        // must not strand chunks it already popped off the rings: the
+        // must not strand chunks it already claimed: the
         // slots would never return to their home pools and the capture
         // side would bleed capacity. Every pending or inboxed chunk
         // goes home here, its packets accounted as delivery drops —
-        // captured, popped, but never handed to an application. (Chunks
-        // still *on* the rings are not ours to recycle; a successor
-        // consumer on this queue finds them there.)
+        // captured, claimed, but never handed to an application.
+        // (Chunks still in the claim queue are not ours to recycle; a
+        // successor consumer on this queue claims them there.)
         let mut undelivered = 0u64;
         for chunk in self.pending.take().into_iter().chain(self.inbox.drain(..)) {
             undelivered += chunk.len() as u64;
@@ -1273,11 +1223,8 @@ impl pcap::PacketSource for LiveConsumer {
     }
 
     fn is_done(&self) -> bool {
-        self.pending.is_none()
-            && self.inbox.is_empty()
-            && self.shared.rings[self.q]
-                .iter()
-                .all(|r| r.is_closed() && r.is_empty())
+        let claims = &self.shared.claims[self.q];
+        self.pending.is_none() && self.inbox.is_empty() && claims.is_closed() && claims.is_empty()
     }
 }
 

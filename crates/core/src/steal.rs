@@ -1,81 +1,76 @@
-//! Multi-core delivery: work-stealing consumer pools, adaptive polling,
-//! and core pinning (DESIGN.md §4.11).
+//! Multi-core delivery: the consumer pool, adaptive polling, and core
+//! pinning (DESIGN.md §4.11).
 //!
-//! The live engine's baseline delivery model binds exactly one consumer
-//! to each queue's SPSC rings, so aggregate throughput is capped by the
-//! slowest consumer and the buddy-group mechanism only rebalances
-//! *after* a capture queue is already over the offload threshold T.
-//! This module adds a second, earlier rebalancing layer on the
-//! *delivery* side:
+//! Every sealed chunk reaches its consumer through one primitive: the
+//! target queue's lock-free [`ClaimQueue`] (COREC-style, after
+//! "Concurrent Non-Blocking Single-Queue Receive Driver for Low Latency
+//! Networking"). A [`LiveConsumer`](crate::LiveConsumer) pulls from one
+//! queue's claim queue; this module's [`ConsumerPool`] pushes chunks
+//! into a handler from N worker threads that claim from *every* queue
+//! of one [`BuddyGroup`]:
 //!
-//! * a bounded, chunk-granularity **work-stealing deque** — the owner
-//!   pushes and pops at the bottom without atomic read-modify-write
-//!   instructions; thieves CAS at the top only — so the common
-//!   (no-contention) path stays as cheap as a local queue;
-//! * a [`ConsumerPool`] running N worker threads over the queues of one
-//!   [`BuddyGroup`]: each worker drains the SPSC rings of the queues it
-//!   owns into its local deque, and steals sealed chunks from busy
-//!   workers when its own queues go quiet — rebalancing at the
-//!   sealed-chunk handoff, **before** the capture queue ever climbs
-//!   toward T;
+//! * each worker scans the group's claim queues in rotated order, so an
+//!   idle worker picks up a busy queue's backlog at the sealed-chunk
+//!   handoff — rebalancing **before** the capture queue ever climbs
+//!   toward the offload threshold T — and even one scorching queue is
+//!   drained by all N workers at once, oldest chunk first;
+//! * a lost claim CAS feeds the `claim_contention` counter and the
+//!   poller's cheap [`AdaptivePoller::lost_race`] reset instead of
+//!   restarting the full spin→yield→park ladder;
+//! * with `cfg.in_order`, a per-queue [`ReorderBuffer`] re-serializes
+//!   the concurrently claimed stream into seal order;
 //! * an [`AdaptivePoller`] (spin → `yield_now` → parked-with-wakeup on
-//!   a [`WakeupGate`]) so idle capture and worker threads stop burning
+//!   a [`WakeupGate`]) lets idle capture and worker threads stop burning
 //!   the cycles busy threads need — on oversubscribed hosts this, not
 //!   parallelism, is where the scaling headroom lives;
 //! * optional core pinning ([`pin_to_core`]) behind a shim, so builds
 //!   without `sched_setaffinity` still compile and run.
 //!
 //! Recycling stays home-pool-only exactly as the offload path does:
-//! stealing moves the *handle*, never the payload, and the slot always
-//! returns to `recycle[chunk.home()]`. `ChunkLens`/capdisk drainers are
-//! unaffected because stealing happens after chunks leave the rings,
-//! never inside another consumer's inbox.
+//! claiming moves the *handle*, never the payload, and the slot always
+//! returns to `recycle[chunk.home()]`.
 //!
-//! With `cfg.concurrent_queue` the pool switches delivery models
-//! entirely: instead of per-worker deques fed by per-queue rings,
-//! every worker claims sealed chunks straight off the group's shared
-//! [`ClaimQueue`]s (COREC-style concurrent single-queue consumption,
-//! DESIGN.md §4.12), so even one scorching queue is drained by all N
-//! workers at once. A lost claim CAS feeds the `claim_contention`
-//! counter and the poller's cheap [`AdaptivePoller::lost_race`] reset
-//! instead of restarting the full spin→yield→park ladder.
+//! The module also keeps a bounded work-stealing deque
+//! ([`steal_deque`]) as a standalone primitive. No engine code uses it;
+//! it remains for its microbenchmark.
 
 use crate::arena::ChunkView;
 use crate::buddy::BuddyGroup;
 use crate::claim::{Claim, ClaimQueue, ReorderBuffer};
 use crate::config::WireCapConfig;
 use crate::live::{LiveChunk, Shared};
-use crate::spsc::MAX_BATCH;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use telemetry::{clock, SpanRecord, WorkerState, WorkerTimeState};
 
-/// Chunks a pool worker takes from its own deque per drain/process
-/// round, bounding the latency between ring drains.
+pub use crate::affinity::{available_cores, pin_to_core};
+
+/// Chunks a pool worker claims from one queue before moving on to the
+/// next queue of its scan.
 const PROCESS_BURST: usize = 8;
 
 // ---------------------------------------------------------------------
-// Bounded Chase-Lev work-stealing deque
+// Bounded work-stealing deque
 // ---------------------------------------------------------------------
 
 /// The owner's endpoint of a bounded work-stealing deque: push and pop
-/// at the bottom, no CAS except when racing a thief for the final item.
-/// Created by [`steal_deque`]; there is exactly one owner.
+/// at the back. Created by [`steal_deque`]; there is exactly one owner.
 #[derive(Debug)]
 pub struct DequeOwner<T> {
-    inner: Arc<imp::Inner<T>>,
+    inner: Arc<Inner<T>>,
 }
 
 /// A thief's endpoint of a bounded work-stealing deque: [`steal`]
-/// takes the *oldest* item with a single CAS at the top. Cheap to
-/// clone; any number of thieves may race.
+/// takes the *oldest* item. Cheap to clone; any number of thieves may
+/// race.
 ///
 /// [`steal`]: DequeStealer::steal
 #[derive(Debug)]
 pub struct DequeStealer<T> {
-    inner: Arc<imp::Inner<T>>,
+    inner: Arc<Inner<T>>,
 }
 
 impl<T> Clone for DequeStealer<T> {
@@ -97,11 +92,45 @@ pub enum Steal<T> {
     Success(T),
 }
 
+/// The deque's shared state: a mutex-guarded ring bounded at
+/// `capacity`. Safe code throughout; a thief holds the lock for one pop
+/// at most.
+#[derive(Debug)]
+struct Inner<T> {
+    items: Mutex<VecDeque<T>>,
+    capacity: usize,
+}
+
+impl<T> Inner<T> {
+    /// Spins on `try_lock` instead of blocking in `lock`: the holder
+    /// releases within one push or pop, and every acquisition stays on
+    /// atomics that ThreadSanitizer instruments (the blocking path
+    /// acquires inside the precompiled standard library, which TSan
+    /// cannot see, and reports a false data race).
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
+        loop {
+            match self.items.try_lock() {
+                Ok(items) => return items,
+                Err(TryLockError::Poisoned(e)) => return e.into_inner(),
+                Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
 /// Creates a bounded work-stealing deque holding at most `capacity`
 /// items (rounded up to a power of two). The owner endpoint pushes and
-/// pops LIFO at the bottom; stealers take FIFO at the top.
+/// pops LIFO at the back; stealers take FIFO at the front.
 pub fn steal_deque<T>(capacity: usize) -> (DequeOwner<T>, DequeStealer<T>) {
-    let inner = Arc::new(imp::Inner::new(capacity));
+    let capacity = capacity.max(2).next_power_of_two();
+    let inner = Arc::new(Inner {
+        items: Mutex::new(VecDeque::with_capacity(capacity)),
+        capacity,
+    });
     (
         DequeOwner {
             inner: Arc::clone(&inner),
@@ -111,17 +140,20 @@ pub fn steal_deque<T>(capacity: usize) -> (DequeOwner<T>, DequeStealer<T>) {
 }
 
 impl<T> DequeOwner<T> {
-    /// Pushes at the bottom. Returns the value back when the deque is
-    /// full (callers size the deque so this cannot happen in steady
-    /// state — e.g. the pool sizes it to every chunk in existence).
+    /// Pushes at the back. Returns the value back when the deque is
+    /// full.
     pub fn push(&mut self, value: T) -> Result<(), T> {
-        self.inner.push(value)
+        let mut items = self.inner.lock();
+        if items.len() >= self.inner.capacity {
+            return Err(value);
+        }
+        items.push_back(value);
+        Ok(())
     }
 
-    /// Pops the most recently pushed item (LIFO keeps the owner on
-    /// cache-warm chunks; thieves take the oldest).
+    /// Pops the most recently pushed item (thieves take the oldest).
     pub fn pop(&mut self) -> Option<T> {
-        self.inner.pop()
+        self.inner.lock().pop_back()
     }
 
     /// Items currently queued (racy under concurrent steals).
@@ -136,13 +168,21 @@ impl<T> DequeOwner<T> {
 }
 
 impl<T> DequeStealer<T> {
-    /// Attempts to take the oldest item with one CAS at the top.
+    /// Attempts to take the oldest item; [`Steal::Retry`] when the
+    /// owner or another thief holds the deque.
     pub fn steal(&self) -> Steal<T> {
-        self.inner.steal()
+        let mut items = match self.inner.items.try_lock() {
+            Ok(items) => items,
+            Err(TryLockError::WouldBlock) => return Steal::Retry,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        };
+        match items.pop_front() {
+            Some(value) => Steal::Success(value),
+            None => Steal::Empty,
+        }
     }
 
-    /// Items currently queued (racy; a load-only estimate for "is this
-    /// victim worth visiting").
+    /// Items currently queued (racy estimate).
     pub fn len(&self) -> usize {
         self.inner.len()
     }
@@ -150,146 +190,6 @@ impl<T> DequeStealer<T> {
     /// True when nothing appears queued (racy estimate).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// The unsafe core of the deque: a fixed ring of `MaybeUninit` cells
-/// indexed by two monotonic counters, after Chase & Lev ("Dynamic
-/// Circular Work-Stealing Deque") with the memory orderings of Lê,
-/// Pop, Cohen & Zappa Nardelli ("Correct and Efficient Work-Stealing
-/// for Weak Memory Models"), minus the growth path — capacity is fixed
-/// and `push` reports a full deque instead of resizing.
-#[allow(unsafe_code)]
-mod imp {
-    use std::cell::UnsafeCell;
-    use std::mem::MaybeUninit;
-    use std::sync::atomic::{fence, AtomicIsize, Ordering};
-
-    #[derive(Debug)]
-    pub(super) struct Inner<T> {
-        /// Next slot thieves take from; only ever advanced by CAS.
-        top: AtomicIsize,
-        /// Next slot the owner pushes to; only the owner stores it.
-        bottom: AtomicIsize,
-        buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-        mask: usize,
-    }
-
-    // The cells are plain memory coordinated entirely through
-    // `top`/`bottom`: a slot is readable only inside `[top, bottom)`,
-    // and ownership of the value transfers with the CAS on `top` (or
-    // the owner's exclusive access to `bottom`). `T: Send` is all the
-    // cells themselves require.
-    unsafe impl<T: Send> Send for Inner<T> {}
-    unsafe impl<T: Send> Sync for Inner<T> {}
-
-    impl<T> Inner<T> {
-        pub(super) fn new(capacity: usize) -> Self {
-            let cap = capacity.max(2).next_power_of_two();
-            Inner {
-                top: AtomicIsize::new(0),
-                bottom: AtomicIsize::new(0),
-                buf: (0..cap)
-                    .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                    .collect(),
-                mask: cap - 1,
-            }
-        }
-
-        pub(super) fn len(&self) -> usize {
-            let b = self.bottom.load(Ordering::Relaxed);
-            let t = self.top.load(Ordering::Relaxed);
-            b.saturating_sub(t).max(0) as usize
-        }
-
-        /// Owner-only: push at the bottom. One release store publishes
-        /// the item; no read-modify-write.
-        pub(super) fn push(&self, value: T) -> Result<(), T> {
-            let b = self.bottom.load(Ordering::Relaxed);
-            let t = self.top.load(Ordering::Acquire);
-            if b.wrapping_sub(t) >= self.buf.len() as isize {
-                return Err(value);
-            }
-            // SAFETY: slot `b & mask` is outside `[t, b)` (checked just
-            // above: the ring is not full), so no thief can be reading
-            // it; we are the only writer of `bottom`.
-            unsafe {
-                (*self.buf[b as usize & self.mask].get()).write(value);
-            }
-            self.bottom.store(b.wrapping_add(1), Ordering::Release);
-            Ok(())
-        }
-
-        /// Owner-only: pop at the bottom. CAS only when racing a thief
-        /// for the final item.
-        pub(super) fn pop(&self) -> Option<T> {
-            let b = self.bottom.load(Ordering::Relaxed).wrapping_sub(1);
-            self.bottom.store(b, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let t = self.top.load(Ordering::Relaxed);
-            if t > b {
-                // Empty (bottom transiently sat below top; restore).
-                self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
-                return None;
-            }
-            // SAFETY: `t <= b` so slot `b & mask` holds an initialized
-            // value. The copy is bitwise; exactly one of owner/thief
-            // keeps it (the loser forgets its copy below).
-            let value = unsafe { (*self.buf[b as usize & self.mask].get()).assume_init_read() };
-            if t == b {
-                // Final item: race thieves for it.
-                let won = self
-                    .top
-                    .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
-                if !won {
-                    // A thief took it; our bitwise copy must not drop.
-                    std::mem::forget(value);
-                    return None;
-                }
-            }
-            Some(value)
-        }
-
-        /// Thief: take the oldest item with one CAS on `top`.
-        pub(super) fn steal(&self) -> super::Steal<T> {
-            let t = self.top.load(Ordering::Acquire);
-            fence(Ordering::SeqCst);
-            let b = self.bottom.load(Ordering::Acquire);
-            if t >= b {
-                return super::Steal::Empty;
-            }
-            // SAFETY: `t < b` so the slot held an initialized value
-            // when read; the CAS below decides whether our bitwise
-            // copy is the surviving one (on failure it is forgotten,
-            // never dropped).
-            let value = unsafe { (*self.buf[t as usize & self.mask].get()).assume_init_read() };
-            if self
-                .top
-                .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                super::Steal::Success(value)
-            } else {
-                std::mem::forget(value);
-                super::Steal::Retry
-            }
-        }
-    }
-
-    impl<T> Drop for Inner<T> {
-        fn drop(&mut self) {
-            let t = *self.top.get_mut();
-            let b = *self.bottom.get_mut();
-            for i in t..b {
-                // SAFETY: exclusive access (`&mut self`); every slot in
-                // `[top, bottom)` holds an initialized value.
-                unsafe {
-                    (*self.buf[i as usize & self.mask].get()).assume_init_drop();
-                }
-            }
-        }
     }
 }
 
@@ -418,7 +318,7 @@ impl AdaptivePoller {
         self.idle_rounds = 0;
     }
 
-    /// A claim (or steal) CAS race was lost: work exists, a peer just
+    /// A claim CAS race was lost: work exists, a peer just
     /// took it. Re-spinning from zero would burn the full spin budget
     /// re-contending the same cache line, so jump straight to the
     /// yield stage — and pin there: contention alone never escalates
@@ -457,54 +357,6 @@ impl AdaptivePoller {
     /// rounds have passed since the last [`reset`](Self::reset).
     pub fn idle(&mut self, gate: &WakeupGate, ticket: u64) -> IdleStep {
         self.idle_capped(gate, ticket, Duration::MAX)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Core affinity
-// ---------------------------------------------------------------------
-
-/// Pins the calling thread to `core`, returning whether the kernel
-/// accepted the mask. Always `false` (a no-op) on platforms without
-/// `sched_setaffinity`, so `pin_threads` configurations degrade to
-/// unpinned threads instead of failing to build or run.
-pub fn pin_to_core(core: usize) -> bool {
-    affinity::pin(core)
-}
-
-/// The number of cores available to this process (≥ 1).
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-#[cfg(target_os = "linux")]
-#[allow(unsafe_code)]
-mod affinity {
-    /// 1024-bit CPU mask, matching the kernel's default `cpu_set_t`.
-    const MASK_WORDS: usize = 16;
-
-    // Declared directly so the workspace needs no `libc` crate: std
-    // already links the platform C library, which exports this symbol.
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-
-    pub(super) fn pin(core: usize) -> bool {
-        if core >= MASK_WORDS * 64 {
-            return false;
-        }
-        let mut mask = [0u64; MASK_WORDS];
-        mask[core / 64] |= 1u64 << (core % 64);
-        // SAFETY: the mask buffer outlives the call and the size passed
-        // matches it; pid 0 targets the calling thread.
-        unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod affinity {
-    pub(super) fn pin(_core: usize) -> bool {
-        false
     }
 }
 
@@ -554,15 +406,16 @@ impl<'a> PoolDelivery<'a> {
         self.worker
     }
 
-    /// Whether this chunk was stolen from another worker's deque
-    /// (as opposed to drained from one of this worker's own queues).
+    /// Whether the chunk's home queue lies outside this worker's shard
+    /// of the group — the worker claimed it to help a queue it does not
+    /// own.
     pub fn stolen(&self) -> bool {
         self.stolen
     }
 
-    /// Seal-order sequence number within the chunk's home queue. In
-    /// in-order concurrent mode, deliveries for one home queue carry
-    /// strictly increasing values.
+    /// Seal-order sequence number within the chunk's home queue. With
+    /// `in_order` set, deliveries for one home queue carry strictly
+    /// increasing values.
     pub fn seq(&self) -> u64 {
         self.chunk.seq()
     }
@@ -585,12 +438,12 @@ impl std::fmt::Debug for PoolDelivery<'_> {
 pub struct PoolWorkerReport {
     /// The worker's index in the pool.
     pub worker: usize,
-    /// Chunks processed (drained from owned queues plus stolen).
+    /// Chunks processed.
     pub chunks: u64,
     /// Packets delivered to the handler.
     pub packets: u64,
-    /// Of the processed chunks, how many were stolen from other
-    /// workers' deques.
+    /// Of the processed chunks, how many were homed on a queue outside
+    /// this worker's shard (see [`PoolDelivery::stolen`]).
     pub stolen_chunks: u64,
     /// Times the worker parked on the delivery gate.
     pub parks: u64,
@@ -599,9 +452,9 @@ pub struct PoolWorkerReport {
 /// The handler a [`ConsumerPool`] runs for every delivered chunk.
 pub type PoolHandler = dyn Fn(PoolDelivery<'_>) + Send + Sync;
 
-/// N worker threads consuming the queues of one buddy group, with
-/// chunk-granularity work stealing between workers (see the module
-/// docs). Create one with `LiveWireCap::consumer_pool`; the pool
+/// N worker threads claiming chunks from every queue of one buddy
+/// group (see the module docs). Create one with
+/// `LiveWireCap::consumer_pool`; the pool
 /// assumes it is the group's only consumer — do not also attach
 /// `LiveConsumer`s to the same queues.
 pub struct ConsumerPool {
@@ -620,14 +473,15 @@ impl std::fmt::Debug for ConsumerPool {
 
 struct WorkerCtx {
     worker: usize,
-    /// Queues this worker drains (a disjoint shard of the group).
+    /// Queues this worker owns (a disjoint shard of the group): its
+    /// latency shard, its park attribution, and the home queues whose
+    /// chunks do not count as stolen.
     owned: Vec<usize>,
-    /// Every queue of the group (exit condition scans all of them).
+    /// Every queue of the group; the worker claims from all of them.
     members: Vec<usize>,
     shared: Arc<Shared>,
     cfg: WireCapConfig,
     stop: Arc<AtomicBool>,
-    stealers: Vec<DequeStealer<LiveChunk>>,
     handler: Arc<PoolHandler>,
     pin_core: Option<usize>,
 }
@@ -641,33 +495,14 @@ impl ConsumerPool {
         handler: Arc<PoolHandler>,
     ) -> Self {
         assert!(workers > 0, "a consumer pool needs at least one worker");
-        let queues = shared.rings.len();
+        let queues = shared.claims.len();
         for &q in group.members() {
             assert!(q < queues, "group queue {q} out of range");
         }
-        let concurrent = shared.claims.is_some();
-        // Size each deque to every chunk that exists across the group:
-        // an owner push can then never find the deque full. Concurrent
-        // mode claims straight off the shared queues and never touches
-        // the deques, so keep them token-sized.
-        let deque_cap = if concurrent {
-            2
-        } else {
-            (group.members().len().max(1)) * cfg.r
-        };
-        let mut owners = Vec::with_capacity(workers);
-        let mut stealers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (o, s) = steal_deque::<LiveChunk>(deque_cap);
-            owners.push(o);
-            stealers.push(s);
-        }
         let stop = Arc::new(AtomicBool::new(false));
         let cores = available_cores();
-        let handles = owners
-            .into_iter()
-            .enumerate()
-            .map(|(w, deque)| {
+        let handles = (0..workers)
+            .map(|w| {
                 let ctx = WorkerCtx {
                     worker: w,
                     owned: group.worker_shard(w, workers),
@@ -675,7 +510,6 @@ impl ConsumerPool {
                     shared: Arc::clone(&shared),
                     cfg,
                     stop: Arc::clone(&stop),
-                    stealers: stealers.clone(),
                     handler: Arc::clone(&handler),
                     // Workers sit after the capture threads in the core
                     // map so, with enough cores, capture and delivery
@@ -684,14 +518,7 @@ impl ConsumerPool {
                 };
                 std::thread::Builder::new()
                     .name(format!("wirecap-pool-{w}"))
-                    .spawn(move || {
-                        if ctx.shared.claims.is_some() {
-                            drop(deque);
-                            concurrent_worker_loop(ctx)
-                        } else {
-                            worker_loop(ctx, deque)
-                        }
-                    })
+                    .spawn(move || claim_loop(ctx))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -708,8 +535,8 @@ impl ConsumerPool {
     }
 
     /// Waits for every worker to finish naturally — they exit when all
-    /// of the group's rings are closed and drained (i.e. after the
-    /// engine's capture threads have shut down).
+    /// of the group's claim queues are closed and drained (i.e. after
+    /// the engine's capture threads have shut down).
     pub fn join(mut self) -> Vec<PoolWorkerReport> {
         self.handles
             .drain(..)
@@ -788,33 +615,23 @@ fn profiler_for(ctx: &WorkerCtx) -> Option<WorkerProfiler> {
 /// `delivered_ns` is the caller's batch delivery stamp — read once per
 /// burst (the moment the batch crossed from the engine to this worker)
 /// and shared by every chunk in it, mirroring [`LiveConsumer`]'s
-/// per-refill stamp. `0` means the caller had no batch stamp (single
-/// chunk off the steal path); the interval then closes against a fresh
-/// clock read. Either way the ceiling is one read per chunk, and on
-/// the burst paths it is one read per *burst* — the fix for the small-M
-/// latency-overhead regression, where chunks seal every few packets
-/// and a per-chunk clock read dominates the delivery cost.
+/// per-refill stamp. One clock read per *burst*, not per chunk, is the
+/// fix for the small-M latency-overhead regression, where chunks seal
+/// every few packets and a per-chunk clock read dominates the delivery
+/// cost.
 fn process_chunk(
     ctx: &WorkerCtx,
     report: &mut PoolWorkerReport,
     mut chunk: LiveChunk,
-    stolen: bool,
     delivered_ns: u64,
 ) {
     let home = chunk.home();
     let len = chunk.len() as u64;
-    // Sampled chunk: the handler call is the deliver stage. The
-    // acquisition stamps may already be set (claim CAS or ring drain);
-    // anything unset collapses to this instant.
+    let stolen = !ctx.owned.contains(&home);
+    // Sampled chunk: the handler call is the deliver stage (the claim
+    // stamps were set at the winning CAS).
     if let Some(span) = chunk.span.as_mut() {
-        let now = clock::mono_ns();
-        if span.acquire_started_ns == 0 {
-            span.acquire_started_ns = now;
-        }
-        if span.acquired_ns == 0 {
-            span.acquired_ns = now;
-        }
-        span.deliver_start_ns = now;
+        span.deliver_start_ns = clock::mono_ns();
     }
     {
         let view = ctx.shared.arenas[home].view(&chunk.seal);
@@ -830,6 +647,7 @@ fn process_chunk(
     }
     report.chunks += 1;
     report.packets += len;
+    report.stolen_chunks += u64::from(stolen);
     // Multi-writer delivery accounting: any worker may recycle any
     // group queue's chunks, so this uses the fetch-add counters, same
     // as offloaded-chunk recycling does from foreign consumers.
@@ -842,17 +660,12 @@ fn process_chunk(
     if let Some(&pq) = ctx.owned.first() {
         let sealed_ns = chunk.seal.sealed_ns();
         if sealed_ns > 0 {
-            let now = if delivered_ns > 0 {
-                delivered_ns
-            } else {
-                clock::mono_ns()
-            };
             ctx.shared
                 .tel
                 .queue(pq)
                 .app
                 .latency_ns
-                .record(now.saturating_sub(sealed_ns));
+                .record(delivered_ns.saturating_sub(sealed_ns));
         }
     }
     // Sampled chunk: decompose the interval into stages (same shard
@@ -905,7 +718,10 @@ fn drop_chunk(shared: &Shared, chunk: LiveChunk) {
     recycle_home(shared, chunk);
 }
 
-fn worker_loop(ctx: WorkerCtx, mut deque: DequeOwner<LiveChunk>) -> PoolWorkerReport {
+/// The pool worker loop: every worker claims sealed chunks straight off
+/// the group's shared [`ClaimQueue`]s, so N workers drain even a single
+/// hot queue concurrently. The claim CAS *is* the load balancer.
+fn claim_loop(ctx: WorkerCtx) -> PoolWorkerReport {
     if let Some(core) = ctx.pin_core {
         pin_to_core(core);
     }
@@ -914,213 +730,7 @@ fn worker_loop(ctx: WorkerCtx, mut deque: DequeOwner<LiveChunk>) -> PoolWorkerRe
         ..Default::default()
     };
     let mut poller = AdaptivePoller::from_config(&ctx.cfg);
-    let mut scratch: Vec<LiveChunk> = Vec::new();
-    let producers = ctx.shared.rings.len();
-    // The gauge shard this worker publishes its deque occupancy to.
-    let primary = ctx.owned.first().copied();
-    let mut prof = profiler_for(&ctx);
-    loop {
-        // Forced stop preempts further processing: everything still
-        // queued for this worker — its owned queues' rings and its own
-        // deque — goes home as delivery drops, so slot and packet
-        // conservation survive a teardown mid-stream. (Chunks in other
-        // workers' deques are theirs to drain the same way.)
-        if ctx.stop.load(Ordering::SeqCst) {
-            for &q in &ctx.owned {
-                for p in 0..producers {
-                    while ctx.shared.rings[q][p].pop_batch(&mut scratch, MAX_BATCH) > 0 {}
-                }
-            }
-            for chunk in scratch.drain(..) {
-                drop_chunk(&ctx.shared, chunk);
-            }
-            while let Some(chunk) = deque.pop() {
-                drop_chunk(&ctx.shared, chunk);
-            }
-            break;
-        }
-
-        let mut progressed = false;
-
-        // 1. Drain owned queues' rings into the local deque. In
-        // fast-recycle mode (`CacheResident` tuning) the drain is
-        // bounded at the plan's recycle depth: once the deque backlog
-        // reaches the bound the worker stops claiming new chunks and
-        // the burst below recycles what it holds first — sealed cells
-        // go home while still cache-warm instead of cooling in a long
-        // backlog. Chunks left on the rings stay the producers'
-        // (bounded) inventory; nothing is lost, only deferred.
-        let depth = ctx.shared.recycle_depth;
-        let mut budget = if depth > 0 {
-            depth.saturating_sub(deque.len())
-        } else {
-            usize::MAX
-        };
-        'drain: for &q in &ctx.owned {
-            for p in 0..producers {
-                if budget == 0 {
-                    break 'drain;
-                }
-                let n = ctx.shared.rings[q][p].pop_batch(&mut scratch, MAX_BATCH.min(budget));
-                budget -= n;
-                if n > 0 {
-                    progressed = true;
-                }
-            }
-        }
-        // The drain is the acquisition start for sampled chunks: from
-        // here until a worker pops them for processing they wait in
-        // the deque (or a thief's hands) — the claim stage. One lazy
-        // clock read covers the whole drained batch.
-        let mut drain_ns = 0u64;
-        for chunk in scratch.iter_mut() {
-            if let Some(span) = chunk.span.as_mut() {
-                if drain_ns == 0 {
-                    drain_ns = clock::mono_ns();
-                }
-                span.acquire_started_ns = drain_ns;
-            }
-        }
-        for chunk in scratch.drain(..) {
-            if let Err(back) = deque.push(chunk) {
-                // Sized to every chunk in existence, so this is
-                // unreachable; process inline rather than lose a chunk.
-                process_chunk(&ctx, &mut report, back, false, 0);
-            }
-        }
-        if let Some(p) = prof.as_mut() {
-            p.charge(WorkerTimeState::Claim);
-        }
-        if let Some(pq) = primary {
-            ctx.shared
-                .tel
-                .queue(pq)
-                .pool
-                .steal_queue_len
-                .set(deque.len() as u64);
-        }
-
-        // 2. Process a bounded burst from the local deque (LIFO:
-        // cache-warm chunks first; thieves take the oldest). One lazy
-        // clock read stamps the delivery moment for the whole burst.
-        let mut burst_ns = 0u64;
-        for _ in 0..PROCESS_BURST {
-            match deque.pop() {
-                Some(chunk) => {
-                    if burst_ns == 0 {
-                        burst_ns = clock::mono_ns();
-                    }
-                    process_chunk(&ctx, &mut report, chunk, false, burst_ns);
-                    progressed = true;
-                }
-                None => break,
-            }
-        }
-        if let Some(p) = prof.as_mut() {
-            p.charge(WorkerTimeState::Deliver);
-        }
-
-        // 3. Own queues quiet: steal the oldest chunk from a busy
-        // worker — delivery-side rebalancing before the capture queue
-        // ever climbs toward the offload threshold.
-        if !progressed {
-            for i in 1..ctx.stealers.len() {
-                let victim = (ctx.worker + i) % ctx.stealers.len();
-                match ctx.stealers[victim].steal() {
-                    Steal::Success(chunk) => {
-                        let pool_tel = &ctx.shared.tel.queue(chunk.home()).pool;
-                        pool_tel.steal_out_chunks.inc();
-                        pool_tel.stolen_packets.add(chunk.len() as u64);
-                        if let Some(pq) = primary {
-                            ctx.shared.tel.queue(pq).pool.steal_in_chunks.inc();
-                        } else {
-                            // Queue-less workers attribute steal_in to
-                            // the victim chunk's home so Σin == Σout
-                            // still holds engine-wide.
-                            ctx.shared
-                                .tel
-                                .queue(chunk.home())
-                                .pool
-                                .steal_in_chunks
-                                .inc();
-                        }
-                        report.stolen_chunks += 1;
-                        process_chunk(&ctx, &mut report, chunk, true, 0);
-                        progressed = true;
-                        break;
-                    }
-                    Steal::Retry => {
-                        // Contention means work exists; stay hot.
-                        progressed = true;
-                        break;
-                    }
-                    Steal::Empty => continue,
-                }
-            }
-            if let Some(p) = prof.as_mut() {
-                p.charge(WorkerTimeState::Steal);
-            }
-        }
-
-        if progressed {
-            poller.reset();
-            continue;
-        }
-
-        // Take the gate ticket *before* the final end-of-stream check:
-        // any chunk published (or ring closed) after this point turns
-        // the park into an immediate return.
-        let ticket = ctx.shared.delivery_gate.ticket();
-        let drained = ctx.members.iter().all(|&q| {
-            (0..producers).all(|p| {
-                let r = &ctx.shared.rings[q][p];
-                r.is_closed() && r.is_empty()
-            })
-        });
-        if drained && deque.is_empty() {
-            // Residual chunks in *other* workers' deques are theirs:
-            // every worker drains its own deque before exiting.
-            break;
-        }
-        let step = poller.idle(&ctx.shared.delivery_gate, ticket);
-        if let Some(p) = prof.as_mut() {
-            p.charge_idle(step);
-        }
-        if step == IdleStep::Parked {
-            report.parks += 1;
-            // Every queue this worker services loses its consumer for
-            // the park's duration, so each owned queue's shard counts
-            // it (see `PoolSide::worker_parks`).
-            for &q in &ctx.owned {
-                ctx.shared.tel.queue(q).pool.worker_parks.inc();
-            }
-        }
-    }
-    if let Some(pq) = primary {
-        ctx.shared.tel.queue(pq).pool.steal_queue_len.set(0);
-    }
-    report
-}
-
-/// COREC-style worker loop: every worker claims sealed chunks straight
-/// off the group's shared [`ClaimQueue`]s, so N workers drain even a
-/// single hot queue concurrently. No deques and no stealing — the
-/// claim CAS *is* the load balancer — so `Σ steal_in == Σ steal_out ==
-/// 0` holds trivially in this mode.
-fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
-    if let Some(core) = ctx.pin_core {
-        pin_to_core(core);
-    }
-    let mut report = PoolWorkerReport {
-        worker: ctx.worker,
-        ..Default::default()
-    };
-    let mut poller = AdaptivePoller::from_config(&ctx.cfg);
-    let claims = ctx
-        .shared
-        .claims
-        .as_deref()
-        .expect("concurrent worker loop without claim queues");
+    let claims = &ctx.shared.claims;
     let reorder = ctx.shared.reorder.as_deref();
     let members = ctx.members.len();
     let mut prof = profiler_for(&ctx);
@@ -1131,7 +741,7 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
         // chunk it parked behind a gap is reclaimed by its own sweep
         // even if the other workers swept earlier.
         if ctx.stop.load(Ordering::SeqCst) {
-            stop_drain_concurrent(&ctx, claims, reorder);
+            stop_drain(&ctx, claims, reorder);
             break;
         }
 
@@ -1152,7 +762,7 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
             // hammer the same queue's claim cursor first.
             let q = ctx.members[(ctx.worker + i) % members];
             // Delivery stamp shared by the whole burst (lazy: no clock
-            // read on an empty scan), as in `worker_loop`'s burst.
+            // read on an empty scan).
             let mut burst_ns = 0u64;
             for _ in 0..burst {
                 match claims[q].try_claim() {
@@ -1161,10 +771,9 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
                         if burst_ns == 0 {
                             burst_ns = clock::mono_ns();
                         }
-                        // The winning CAS is the whole acquisition in
-                        // concurrent mode (the claim stage is the CAS
-                        // itself); reorder-buffer dwell then lands in
-                        // the reorder stage.
+                        // The winning CAS is the whole acquisition (the
+                        // claim stage is the CAS itself); reorder-buffer
+                        // dwell then lands in the reorder stage.
                         if let Some(span) = chunk.span.as_mut() {
                             span.acquire_started_ns = burst_ns;
                             span.acquired_ns = burst_ns;
@@ -1206,8 +815,8 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
             continue;
         }
 
-        // Ticket before the end-of-stream check, as in worker_loop: a
-        // publish after this point turns the park into a no-op.
+        // Ticket before the end-of-stream check: a publish (or close)
+        // after this point turns the park into a no-op.
         let ticket = ctx.shared.delivery_gate.ticket();
         let drained = ctx
             .members
@@ -1227,8 +836,9 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
         }
         if step == IdleStep::Parked {
             report.parks += 1;
-            // As in `worker_loop`: every owned queue's shard counts
-            // the park, not just the first one.
+            // Every queue this worker owns loses a consumer for the
+            // park's duration, so each owned queue's shard counts it
+            // (see `PoolSide::worker_parks`).
             for &q in &ctx.owned {
                 ctx.shared.tel.queue(q).pool.worker_parks.inc();
             }
@@ -1247,7 +857,7 @@ fn deliver_claimed(
     delivered_ns: u64,
 ) {
     let Some(ro) = reorder else {
-        process_chunk(ctx, report, chunk, false, delivered_ns);
+        process_chunk(ctx, report, chunk, delivered_ns);
         return;
     };
     // Claimed after stop was raised: drop instead of parking it in the
@@ -1260,7 +870,7 @@ fn deliver_claimed(
     let buf = &ro[chunk.home()];
     let home = chunk.home();
     buf.insert(chunk.seq(), chunk);
-    let delivered = buf.pump(|_seq, c| process_chunk(ctx, report, c, false, delivered_ns));
+    let delivered = buf.pump(|_seq, c| process_chunk(ctx, report, c, delivered_ns));
     ctx.shared
         .tel
         .queue(home)
@@ -1274,10 +884,10 @@ fn deliver_claimed(
     }
 }
 
-/// Forced-stop sweep for concurrent mode: claim-drain every member
+/// Forced-stop sweep: claim-drain every member
 /// queue, then reclaim anything stranded behind a gap in the reorder
 /// buffers. Everything goes home as a delivery drop.
-fn stop_drain_concurrent(
+fn stop_drain(
     ctx: &WorkerCtx,
     claims: &[ClaimQueue<LiveChunk>],
     reorder: Option<&[ReorderBuffer<LiveChunk>]>,
@@ -1335,7 +945,7 @@ mod tests {
 
     #[test]
     fn deque_drops_leftover_items() {
-        // Drop coverage for the `[top, bottom)` cleanup.
+        // Drop coverage for items still queued.
         let (mut owner, stealer) = steal_deque::<Arc<u32>>(8);
         let item = Arc::new(7u32);
         owner.push(Arc::clone(&item)).unwrap();

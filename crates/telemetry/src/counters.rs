@@ -127,10 +127,10 @@ pub struct DeliverySide {
     /// publish (capture-side residency).
     pub stage_backend_ns: Log2Histogram,
     /// Sampled-span stage: ring publish → winning acquisition attempt
-    /// (time waiting in the delivery ring / steal deque).
+    /// (time waiting in the claim queue).
     pub stage_queue_wait_ns: Log2Histogram,
     /// Sampled-span stage: acquisition attempt → ownership (the
-    /// claim-CAS window in concurrent mode; ~0 on pop/steal paths).
+    /// claim-CAS window).
     pub stage_claim_ns: Log2Histogram,
     /// Sampled-span stage: ownership → delivery start (reorder-buffer
     /// residency in in-order mode).
@@ -190,43 +190,33 @@ impl Gauge {
 }
 
 /// Counters written by consumer-pool workers (`wirecap::steal`). Any
-/// worker may touch any group queue's shard — a thief charges the
-/// victim chunk's home queue — so everything here is multi-writer:
+/// worker may claim from any group queue and charges that queue's
+/// shard, so everything here is multi-writer:
 /// plain fetch-add [`Counter`]s (fired per chunk, never per packet)
 /// and a last-value [`Gauge`].
 #[derive(Debug, Default)]
 pub struct PoolSide {
-    /// Chunks a pool worker primarily responsible for this queue took
-    /// from other workers' deques.
-    pub steal_in_chunks: Counter,
-    /// Chunks homed on this queue that a non-owning worker stole.
-    pub steal_out_chunks: Counter,
-    /// Packets inside those stolen chunks.
-    pub stolen_packets: Counter,
     /// Times a pool worker servicing this queue parked on the delivery
     /// gate (adaptive polling reached the park stage). Every worker
     /// that *owns* the queue attributes its parks here — a worker
-    /// owning several queues charges each of them, and dedicated
-    /// stealer workers (no owned queues) charge none — so the counter
+    /// owning several queues charges each of them, and workers with
+    /// no owned queue charge none — so the counter
     /// is multi-writer like the rest of the shard.
     pub worker_parks: Counter,
-    /// Claim CAS races lost on this queue's claim queue (concurrent
-    /// single-queue mode): a worker targeted a published chunk but
+    /// Claim CAS races lost on this queue's claim queue: a worker or
+    /// consumer targeted a published chunk but
     /// another worker claimed it first. High rates mean workers are
     /// piling onto one queue faster than chunks seal.
     pub claim_contention: Counter,
-    /// Occupancy of the primary worker's local steal deque, published
-    /// after each ring drain.
-    pub steal_queue_len: Gauge,
     /// Chunks parked in this queue's in-order reorder buffer, published
-    /// by the engine at snapshot time (0 unless in-order concurrent
-    /// mode is active).
+    /// by the engine at snapshot time (0 unless in-order delivery is
+    /// active).
     pub reorder_occupancy: Gauge,
 }
 
 /// Counters written by the flow-analytics stage (`flowstat` sinks
 /// running inside pool workers). Any worker may process any queue's
-/// chunks — a thief charges the chunk's home queue — so everything here
+/// chunks, charging the chunk's home queue, so everything here
 /// is multi-writer: fetch-add [`Counter`]s flushed once per chunk (the
 /// sink batches per-packet movement into deltas), never per packet.
 #[derive(Debug, Default)]
@@ -329,16 +319,12 @@ impl QueueCounters {
             offloaded_out_chunks: cap.offloaded_out_chunks.get(),
             disk_written_packets: self.disk.0.disk_written_packets.get(),
             disk_drop_packets: self.disk.0.disk_drop_packets.get(),
-            steal_in_chunks: self.pool.0.steal_in_chunks.get(),
-            steal_out_chunks: self.pool.0.steal_out_chunks.get(),
-            stolen_packets: self.pool.0.stolen_packets.get(),
             worker_parks: self.pool.0.worker_parks.get(),
             claim_contention: self.pool.0.claim_contention.get(),
             flow_tracked_packets: self.flow.0.flow_tracked_packets.get(),
             flow_evicted_flows: self.flow.0.flow_evicted_flows.get(),
             flow_evicted_packets: self.flow.0.flow_evicted_packets.get(),
             flow_hash_collisions: self.flow.0.flow_hash_collisions.get(),
-            steal_queue_len: self.pool.0.steal_queue_len.get(),
             reorder_occupancy: self.pool.0.reorder_occupancy.get(),
             flow_table_occupancy: self.flow.0.flow_table_occupancy.get(),
             capture_queue_len: 0,

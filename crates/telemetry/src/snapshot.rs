@@ -55,20 +55,12 @@ pub struct QueueTelemetry {
     /// Packets dropped because the disk writer fell behind — the
     /// capture-to-disk subsystem's explicit graceful-degradation drop.
     pub disk_drop_packets: u64,
-    /// Chunks this queue's primary pool worker stole from other
-    /// workers' deques (0 when no `ConsumerPool` is attached).
-    pub steal_in_chunks: u64,
-    /// Chunks homed on this queue that other pool workers stole.
-    pub steal_out_chunks: u64,
-    /// Packets inside chunks stolen from this queue
-    /// (`Σ steal_in_chunks == Σ steal_out_chunks` engine-wide).
-    pub stolen_packets: u64,
     /// Times a pool worker owning this queue parked on the delivery
     /// gate (adaptive polling reached the park stage). Every owning
     /// worker charges its parks to each of its owned queues.
     pub worker_parks: u64,
-    /// Claim CAS races lost on this queue's claim queue (0 unless
-    /// concurrent single-queue mode is active).
+    /// Claim CAS races lost on this queue's claim queue (a consumer
+    /// targeted a published chunk that another one claimed first).
     pub claim_contention: u64,
     /// Packets recorded into a flow table by the flow-analytics stage
     /// (0 unless a flow sink is attached).
@@ -80,10 +72,8 @@ pub struct QueueTelemetry {
     pub flow_evicted_packets: u64,
     /// Occupied non-matching flow-table slots scanned during lookups.
     pub flow_hash_collisions: u64,
-    /// Gauge: occupancy of the primary pool worker's steal deque.
-    pub steal_queue_len: u64,
     /// Gauge: chunks parked in this queue's in-order reorder buffer
-    /// (0 unless in-order concurrent mode is active).
+    /// (0 unless in-order delivery is active).
     pub reorder_occupancy: u64,
     /// Gauge: live flows resident in the flow tables of this queue's
     /// processing workers (0 unless a flow sink is attached).
@@ -160,16 +150,12 @@ impl QueueTelemetry {
         self.offloaded_out_chunks += other.offloaded_out_chunks;
         self.disk_written_packets += other.disk_written_packets;
         self.disk_drop_packets += other.disk_drop_packets;
-        self.steal_in_chunks += other.steal_in_chunks;
-        self.steal_out_chunks += other.steal_out_chunks;
-        self.stolen_packets += other.stolen_packets;
         self.worker_parks += other.worker_parks;
         self.claim_contention += other.claim_contention;
         self.flow_tracked_packets += other.flow_tracked_packets;
         self.flow_evicted_flows += other.flow_evicted_flows;
         self.flow_evicted_packets += other.flow_evicted_packets;
         self.flow_hash_collisions += other.flow_hash_collisions;
-        self.steal_queue_len += other.steal_queue_len;
         self.reorder_occupancy += other.reorder_occupancy;
         self.flow_table_occupancy += other.flow_table_occupancy;
         self.capture_queue_len += other.capture_queue_len;
@@ -298,7 +284,7 @@ impl EngineSnapshot {
         type HistField = (&'static str, fn(&QueueTelemetry) -> &HistogramSnapshot);
         let mut out = String::new();
         let engine = self.engine.replace('"', "'");
-        let counters: [Field; 24] = [
+        let counters: [Field; 21] = [
             ("offered_packets", |t| t.offered_packets),
             ("captured_packets", |t| t.captured_packets),
             ("delivered_packets", |t| t.delivered_packets),
@@ -314,9 +300,6 @@ impl EngineSnapshot {
             ("offloaded_out_chunks", |t| t.offloaded_out_chunks),
             ("disk_written_packets", |t| t.disk_written_packets),
             ("disk_drop_packets", |t| t.disk_drop_packets),
-            ("steal_in_chunks", |t| t.steal_in_chunks),
-            ("steal_out_chunks", |t| t.steal_out_chunks),
-            ("stolen_packets", |t| t.stolen_packets),
             ("worker_parks", |t| t.worker_parks),
             ("claim_contention", |t| t.claim_contention),
             ("flow_tracked_packets", |t| t.flow_tracked_packets),
@@ -335,9 +318,8 @@ impl EngineSnapshot {
                 );
             }
         }
-        let gauges: [Field; 9] = [
+        let gauges: [Field; 8] = [
             ("latency_p999_ns", |t| t.latency_p999_ns),
-            ("steal_queue_len", |t| t.steal_queue_len),
             ("reorder_occupancy", |t| t.reorder_occupancy),
             ("flow_table_occupancy", |t| t.flow_table_occupancy),
             ("capture_queue_len", |t| t.capture_queue_len),
@@ -401,7 +383,6 @@ impl EngineSnapshot {
                     ("park", w.park_ns),
                     ("claim", w.claim_ns),
                     ("deliver", w.deliver_ns),
-                    ("steal", w.steal_ns),
                 ] {
                     let _ = writeln!(
                         out,
@@ -429,16 +410,12 @@ mod tests {
         q0.delivery_drop_packets = 2;
         q0.disk_written_packets = 80;
         q0.disk_drop_packets = 8;
-        q0.steal_in_chunks = 4;
-        q0.steal_out_chunks = 4;
-        q0.stolen_packets = 40;
         q0.worker_parks = 2;
         q0.claim_contention = 6;
         q0.flow_tracked_packets = 88;
         q0.flow_evicted_flows = 1;
         q0.flow_evicted_packets = 4;
         q0.flow_hash_collisions = 9;
-        q0.steal_queue_len = 3;
         q0.reorder_occupancy = 2;
         q0.flow_table_occupancy = 12;
         q0.chunk_fill.count = 2;
@@ -506,10 +483,6 @@ mod tests {
         assert!(text.contains("# TYPE wirecap_disk_drop_packets_total counter"));
         assert!(text.contains("wirecap_disk_written_packets_total{engine=\"test\",queue=\"0\"} 80"));
         assert!(text.contains("wirecap_disk_drop_packets_total{engine=\"test\",queue=\"0\"} 8"));
-        assert!(text.contains("# TYPE wirecap_steal_out_chunks_total counter"));
-        assert!(text.contains("wirecap_stolen_packets_total{engine=\"test\",queue=\"0\"} 40"));
-        assert!(text.contains("# TYPE wirecap_steal_queue_len gauge"));
-        assert!(text.contains("wirecap_steal_queue_len{engine=\"test\",queue=\"0\"} 3"));
         assert!(text.contains("# TYPE wirecap_claim_contention_total counter"));
         assert!(text.contains("wirecap_claim_contention_total{engine=\"test\",queue=\"0\"} 6"));
         assert!(text.contains("# TYPE wirecap_reorder_occupancy gauge"));

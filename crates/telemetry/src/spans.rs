@@ -5,11 +5,11 @@
 //! delivery took, but not *where* the time went. This module adds the
 //! decomposition: engines stamp a sampled chunk (1-in-N per queue,
 //! `WireCapConfig::span_sample_n`, 0 = off) at every ownership-transfer
-//! boundary it crosses — seal, ring publish, claim-or-steal
+//! boundary it crosses — seal, claim-queue publish, claim
 //! acquisition, delivery start/end, disk handoff, disk write — using
 //! the amortized [`crate::clock`] seam. The stamps travel *inside* the
 //! engine's chunk handle (a plain [`SpanStamps`] value, moved with the
-//! chunk through rings, deques and claim queues; no shared state, no
+//! chunk through the claim queues; no shared state, no
 //! synchronization), and are folded into a [`SpanRecord`] at the same
 //! point the end-to-end latency is recorded.
 //!
@@ -37,7 +37,7 @@
 //! The worker time-state profiler ([`WorkerState`]) is the dual view:
 //! instead of following a chunk through stages, it follows a pool
 //! worker through the adaptive-polling ladder, accounting wall time
-//! into spin / yield / park / claim / deliver / steal buckets. Workers
+//! into spin / yield / park / claim / deliver buckets. Workers
 //! register with the [`crate::Registry`] at pool start and account
 //! transitions single-writer; snapshots read the buckets relaxed.
 
@@ -61,10 +61,10 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1024;
 pub struct SpanStamps {
     /// Chunk sealed by the capture thread (span start).
     pub sealed_ns: u64,
-    /// Chunk published to its delivery ring (end of the backend stage).
+    /// Chunk published to its claim queue (end of the backend stage).
     pub published_ns: u64,
-    /// The winning acquisition attempt *began* (claim-round start in
-    /// concurrent mode; equals `acquired_ns` on pop/steal paths).
+    /// The winning acquisition attempt *began* (the claim-round start;
+    /// equals `acquired_ns`, since the claim CAS is the acquisition).
     pub acquire_started_ns: u64,
     /// Ownership transferred to a consumer or pool worker.
     pub acquired_ns: u64,
@@ -104,10 +104,10 @@ pub struct SpanRecord {
     /// Seal → ring publish: capture-side residency.
     pub stage_backend_ns: u64,
     /// Publish → winning acquisition attempt: time waiting in the
-    /// ring/deque.
+    /// claim queue.
     pub stage_queue_wait_ns: u64,
-    /// Winning acquisition attempt → ownership (claim-CAS window;
-    /// 0 on pop/steal paths).
+    /// Winning acquisition attempt → ownership (the claim-CAS
+    /// window).
     pub stage_claim_ns: u64,
     /// Ownership → delivery start (reorder-buffer residency; ~0 when
     /// in-order delivery is off).
@@ -238,7 +238,7 @@ impl Default for SpanRing {
 
 /// The wall-time buckets a pool worker's life divides into. Spin,
 /// yield and park are the three rungs of the adaptive-polling ladder;
-/// claim, deliver and steal are the working states.
+/// claim and deliver are the working states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerTimeState {
     /// Busy-spinning on the first ladder rung.
@@ -247,12 +247,10 @@ pub enum WorkerTimeState {
     Yield,
     /// Parked on the wakeup gate.
     Park,
-    /// Attempting claim-CAS acquisitions (concurrent queue mode).
+    /// Attempting claim-CAS acquisitions on empty or contended queues.
     Claim,
     /// Running the delivery handler (includes recycle bookkeeping).
     Deliver,
-    /// Probing other workers' deques for work to steal.
-    Steal,
 }
 
 /// Per-worker wall-time accounting across the ladder and working
@@ -268,7 +266,6 @@ pub struct WorkerState {
     park_ns: AtomicU64,
     claim_ns: AtomicU64,
     deliver_ns: AtomicU64,
-    steal_ns: AtomicU64,
 }
 
 impl WorkerState {
@@ -288,7 +285,6 @@ impl WorkerState {
             WorkerTimeState::Park => &self.park_ns,
             WorkerTimeState::Claim => &self.claim_ns,
             WorkerTimeState::Deliver => &self.deliver_ns,
-            WorkerTimeState::Steal => &self.steal_ns,
         };
         bucket.fetch_add(ns, Ordering::Relaxed);
     }
@@ -302,7 +298,6 @@ impl WorkerState {
             park_ns: self.park_ns.load(Ordering::Relaxed),
             claim_ns: self.claim_ns.load(Ordering::Relaxed),
             deliver_ns: self.deliver_ns.load(Ordering::Relaxed),
-            steal_ns: self.steal_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -323,8 +318,6 @@ pub struct WorkerTelemetry {
     pub claim_ns: u64,
     /// Wall time running delivery handlers, ns.
     pub deliver_ns: u64,
-    /// Wall time probing steal targets, ns.
-    pub steal_ns: u64,
 }
 
 /// Shorthand for one object node in the trace-event tree.
@@ -488,7 +481,6 @@ pub fn chrome_trace_json(spans: &[SpanRecord], workers: &[WorkerTelemetry]) -> S
                         ("park", serde::Value::U64(w.park_ns)),
                         ("claim", serde::Value::U64(w.claim_ns)),
                         ("deliver", serde::Value::U64(w.deliver_ns)),
-                        ("steal", serde::Value::U64(w.steal_ns)),
                     ]),
                 ),
             ],
@@ -557,12 +549,12 @@ mod tests {
         w.account(WorkerTimeState::Spin, 10);
         w.account(WorkerTimeState::Spin, 5);
         w.account(WorkerTimeState::Deliver, 100);
-        w.account(WorkerTimeState::Steal, 1);
+        w.account(WorkerTimeState::Claim, 1);
         let t = w.snapshot();
         assert_eq!(t.worker, 7);
         assert_eq!(t.spin_ns, 15);
         assert_eq!(t.deliver_ns, 100);
-        assert_eq!(t.steal_ns, 1);
+        assert_eq!(t.claim_ns, 1);
         assert_eq!(t.park_ns, 0);
     }
 

@@ -41,9 +41,6 @@ pub struct SeriesSample {
     pub offloaded_chunks: u64,
     /// Total packets the disk sink dropped so far (writer fell behind).
     pub disk_drop_packets: u64,
-    /// Total packets delivered through stolen chunks so far (consumer
-    /// pool rebalancing; 0 when no pool is attached).
-    pub stolen_packets: u64,
     /// Total packets recorded into flow tables so far (0 when no flow
     /// sink is attached).
     pub flow_packets: u64,
@@ -75,7 +72,6 @@ impl SeriesSample {
             s.sealed_chunks += q.sealed_chunks;
             s.offloaded_chunks += q.offloaded_out_chunks;
             s.disk_drop_packets += q.disk_drop_packets;
-            s.stolen_packets += q.stolen_packets;
             s.flow_packets += q.flow_tracked_packets;
             s.capture_queue_len += q.capture_queue_len;
             s.capture_queue_max_len = s.capture_queue_max_len.max(q.capture_queue_len);
@@ -116,9 +112,6 @@ pub struct Rates {
     /// Disk-sink drop rate, packets/s — nonzero only while the disk
     /// writer is falling behind the capture stream.
     pub disk_drop_pps: f64,
-    /// Work-stealing rate, packets/s delivered via stolen chunks —
-    /// nonzero only while a consumer pool is actively rebalancing.
-    pub steal_pps: f64,
     /// Flow-analytics ingest rate, packets/s recorded into flow tables
     /// — nonzero only while a flow sink is attached.
     pub flow_pps: f64,
@@ -150,7 +143,6 @@ pub fn rates_between(prev: &SeriesSample, next: &SeriesSample) -> Option<Rates> 
     let sealed = d(prev.sealed_chunks, next.sealed_chunks);
     let offloaded = d(prev.offloaded_chunks, next.offloaded_chunks);
     let disk_drops = d(prev.disk_drop_packets, next.disk_drop_packets);
-    let stolen = d(prev.stolen_packets, next.stolen_packets);
     let flow = d(prev.flow_packets, next.flow_packets);
     let seen = captured + drops;
     Some(Rates {
@@ -171,7 +163,6 @@ pub fn rates_between(prev: &SeriesSample, next: &SeriesSample) -> Option<Rates> 
             offloaded as f64 / sealed as f64
         },
         disk_drop_pps: disk_drops as f64 / secs,
-        steal_pps: stolen as f64 / secs,
         flow_pps: flow as f64 / secs,
         queue_depth_peak: next.capture_queue_max_len.max(prev.capture_queue_max_len),
         latency_p999_ns: next.latency_p999_ns.max(prev.latency_p999_ns),

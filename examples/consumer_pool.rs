@@ -1,4 +1,4 @@
-//! Work-stealing consumer pool vs. per-queue consumers (DESIGN.md §4.11).
+//! Consumer pool vs. per-queue consumers (DESIGN.md §4.11).
 //!
 //! The paper's load-imbalance problem reappears on the delivery side:
 //! RSS concentrates a heavy flow onto one receive queue, and with one
@@ -9,8 +9,8 @@
 //! 1. **per-queue**: one `LiveConsumer` thread per queue (the classic
 //!    `multi_pkt_handler` topology);
 //! 2. **pooled**: a [`wirecap::ConsumerPool`] over *all* queues, whose
-//!    workers steal sealed chunks from the hot queue's backlog and park
-//!    on a wakeup gate when there is nothing to do —
+//!    workers all claim sealed chunks from the hot queue's claim queue
+//!    and park on a wakeup gate when there is nothing to do —
 //!
 //! with a blocking per-chunk stage (standing in for a batch `write(2)`
 //! or a downstream RPC) so the serialization is visible in wall-clock
@@ -22,8 +22,8 @@
 //! (`span_sample_n`), and at the end exports the sampled chunk
 //! lifecycles plus the worker time-state profile as Chrome trace-event
 //! JSON — load `target/consumer_pool-trace.json` into
-//! <https://ui.perfetto.dev> or `chrome://tracing` to see stolen
-//! chunks land on foreign workers.
+//! <https://ui.perfetto.dev> or `chrome://tracing` to see the hot
+//! queue's chunks land on workers outside its shard ("stolen").
 //!
 //! Run with:
 //! ```sh
@@ -120,7 +120,7 @@ fn per_queue_run() -> (u64, f64) {
     (delivered, elapsed)
 }
 
-/// A pool of workers over all queues, stealing and parking adaptively.
+/// A pool of workers claiming from all queues, parking adaptively.
 fn pooled_run() -> (u64, u64, u64, f64) {
     let nic = LiveNic::new(QUEUES, 4096);
     let engine = LiveWireCap::builder()
@@ -180,10 +180,10 @@ fn pooled_run() -> (u64, u64, u64, f64) {
     }
     // Where each worker's wall clock went (the time-state profiler).
     for w in &snap.workers {
-        let busy = w.claim_ns + w.deliver_ns + w.steal_ns;
+        let busy = w.claim_ns + w.deliver_ns;
         let idle = w.spin_ns + w.yield_ns + w.park_ns;
         println!(
-            "  worker {} time: {:>4} ms delivering/claiming/stealing, \
+            "  worker {} time: {:>4} ms delivering/claiming, \
              {:>4} ms spinning/yielding/parked",
             w.worker,
             busy / 1_000_000,

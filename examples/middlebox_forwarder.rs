@@ -12,10 +12,10 @@
 //! where a receiver validates every forwarded frame.
 //!
 //! Forwarding is stateless per packet, which makes it the textbook
-//! client for the work-stealing [`wirecap::ConsumerPool`] (DESIGN.md
-//! §4.11): instead of binding one middlebox thread to each ingress
-//! queue, a pool of workers serves *all* queues, stealing sealed
-//! chunks from whichever queue RSS happens to favour. Each worker
+//! client for the [`wirecap::ConsumerPool`] (DESIGN.md §4.11): instead
+//! of binding one middlebox thread to each ingress queue, a pool of
+//! workers serves *all* queues, claiming sealed chunks from whichever
+//! queue RSS happens to favour. Each worker
 //! keeps its own `Middlebox` and scratch buffer in thread-local
 //! storage, so the hot loop stays allocation- and lock-free.
 //!
@@ -50,7 +50,7 @@ fn main() {
 
     // The middlebox: a pool of two workers over both NIC1 queues.
     // Whichever queue the traffic lands on, both workers process it —
-    // chunk stealing replaces static queue ownership.
+    // shared claim queues replace static queue ownership.
     let forwarded_ctr = Arc::new(AtomicU64::new(0));
     let expired_ctr = Arc::new(AtomicU64::new(0));
     let icmp_ctr = Arc::new(AtomicU64::new(0));
@@ -177,7 +177,7 @@ fn main() {
             r.worker, r.packets, r.chunks, r.stolen_chunks
         );
     }
-    println!("pool     : {stolen} chunks moved between workers by stealing");
+    println!("pool     : {stolen} chunks claimed by a worker outside their queue's shard");
     println!("egress   : {received} validated frames at the next hop");
     assert_eq!(expired, expiring);
     assert_eq!(icmp_sent, expiring, "every expiry answered with ICMP");

@@ -10,7 +10,7 @@
 #                    overheads (each with a `_raw` companion; the gates
 #                    read the clamped value)
 #   consumer_pool    pooled vs per-queue delivery (pool_speedup)
-#   single_hot_queue claim-mode worker scaling on one queue
+#   single_hot_queue pool worker scaling on one queue
 #                    (hotq_speedup)
 #   backend_dispatch mono vs dyn queue calls
 #                    (backend_dispatch_overhead)
@@ -22,6 +22,12 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> .rs line totals (tracked per change)"
+for dir in crates/core crates/bench; do
+    lines=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)
+    echo "    $dir: $lines"
+done
 
 echo "==> cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then
@@ -129,7 +135,7 @@ awk '
 ' BENCH_hotpath.json
 
 echo "==> consumer pool speedup gate (>= 1.5x single consumer at 4q/4w)"
-# The work-stealing pool must beat a single consumer on the same
+# The consumer pool must beat a single consumer on the same
 # skewed workload by overlapping the blocking per-chunk I/O stage
 # (DESIGN.md section 4.11). Conservation is asserted inside the bench.
 awk '
@@ -144,11 +150,10 @@ awk '
     }
 ' BENCH_hotpath.json
 
-echo "==> single-hot-queue speedup gate (>= 1.5x, 1q/4w vs 1q/1w, claim mode)"
-# Work stealing republishes every chunk of a hot queue through the
-# owning worker's deque; the COREC-style concurrent claim mode drains
-# it with no middleman and must scale with the worker count
-# (DESIGN.md section 4.12). Conservation is asserted in the bench.
+echo "==> single-hot-queue speedup gate (>= 1.5x, 1q/4w vs 1q/1w)"
+# Every pool worker claims from the hot queue's claim queue, so its
+# delivery rate must scale with the worker count (DESIGN.md section
+# 4.11). Conservation is asserted in the bench.
 awk '
     /"hotq_speedup":/ { sub(/,$/, "", $2); speedup = $2 + 0; seen = 1 }
     END {
@@ -244,10 +249,10 @@ cargo test -q --release --test claim_interleavings
 echo "==> in-order claim conservation (reorder buffer + forced stop)"
 cargo test -q --release --test inorder_conservation
 
-echo "==> work-stealing conservation smoke (two-thread steal + forced stop)"
+echo "==> pool conservation smoke (off-shard claiming, deque primitive, forced stop)"
 cargo test -q --release --test steal_conservation
 
-echo "==> flow-count conservation (eviction pressure, forced stop, both claim modes)"
+echo "==> flow-count conservation (eviction pressure, forced stop, ordered and unordered)"
 cargo test -q --release --test flow_conservation
 
 echo "==> multi-core delivery scaling point (2 workers, small)"

@@ -1,5 +1,5 @@
 //! Exhaustive two-thread interleaving check for the claim CAS protocol
-//! (`wirecap::claim::ClaimQueue::try_claim`, DESIGN.md §4.12).
+//! (`wirecap::claim::ClaimQueue::try_claim`, DESIGN.md §4.11).
 //!
 //! Loom is not available in this tree, so this is a hand-rolled model
 //! checker: the consumer side of the protocol is restated as an

@@ -1,17 +1,16 @@
-//! Concurrent-claim pool accounting under randomized interleavings,
-//! with and without in-order delivery (DESIGN.md §4.12).
+//! Claim-pool accounting under randomized interleavings, with and
+//! without in-order delivery (DESIGN.md §4.11).
 //!
-//! Mirrors `steal_conservation.rs` for the COREC-style claim mode:
-//! N workers drain the *same* queues' sealed streams through lock-free
-//! claim words instead of deques and stealing. The audited invariants:
+//! Companion to `steal_conservation.rs`: N pool workers drain the
+//! *same* queues' sealed streams through lock-free claim words, and
+//! `in_order` re-serializes them per home queue. The audited
+//! invariants:
 //!
 //! * Σ `delivered_packets` + Σ `delivery_drop_packets` ==
 //!   Σ `captured_packets` (every captured chunk reached a handler or
 //!   was explicitly dropped by a forced stop — including chunks caught
 //!   mid-claim or stranded behind a gap in the reorder buffer),
 //! * Σ `recycled_chunks` == Σ `sealed_chunks` (every slot came home),
-//! * Σ `steal_in_chunks` == Σ `steal_out_chunks` == 0 (claim mode
-//!   never steals: the claim CAS is the load balancer),
 //! * with `in_order`: per home queue, the handler observes strictly
 //!   increasing sequence numbers, and no chunk is left in the reorder
 //!   buffer after shutdown (`reorder_occupancy` drains to zero).
@@ -38,17 +37,17 @@ use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::{PoolWorkerReport, WireCapConfig};
 
-/// One concurrent-claim pool run. `stall_us > 0` makes the handler
+/// One claim-pool run. `stall_us > 0` makes the handler
 /// sleep on every chunk whose sequence number lands on a small residue
 /// class, staggering workers so in-order runs accumulate real gaps.
-/// `force_stop` tears the pool down right after the rings close,
+/// `force_stop` tears the pool down right after the claim queues close,
 /// exercising the claim-drain and reorder-strand sweep. `llc_kb > 0`
 /// switches the pool to `CacheResident` tuning at that LLC budget
 /// (shrinking R and bounding the claim burst at the recycle depth —
 /// the fast-recycle path must conserve under every interleaving too);
 /// 0 keeps the `Throughput` default.
 #[allow(clippy::too_many_arguments)]
-fn run_concurrent(
+fn run_pool(
     total: u64,
     queues: usize,
     workers: usize,
@@ -61,7 +60,6 @@ fn run_concurrent(
     let nic = LiveNic::new(queues, 8192);
     let mut cfg = WireCapConfig::basic(32, 64, 0);
     cfg.capture_timeout_ns = 1_000_000;
-    cfg.concurrent_queue = true;
     cfg.in_order = in_order;
     if llc_kb > 0 {
         cfg.tuning = wirecap::TuningMode::CacheResident {
@@ -152,10 +150,6 @@ fn run_concurrent(
 }
 
 fn assert_conserved(snap: &EngineSnapshot, total: u64) {
-    let steal_out: u64 = snap.queues.iter().map(|q| q.steal_out_chunks).sum();
-    let steal_in: u64 = snap.queues.iter().map(|q| q.steal_in_chunks).sum();
-    assert_eq!(steal_out, 0, "claim mode must never steal: {snap:?}");
-    assert_eq!(steal_in, 0, "claim mode must never steal: {snap:?}");
     let captured: u64 = snap.queues.iter().map(|q| q.captured_packets).sum();
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     let delivery_dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
@@ -182,7 +176,7 @@ fn assert_conserved(snap: &EngineSnapshot, total: u64) {
 /// stalls, strictly increasing delivery asserted in the handler.
 #[test]
 fn inorder_claims_deliver_sequenced_and_conserve() {
-    let (snap, reports, handled) = run_concurrent(1_600, 2, 3, 1, 120, true, false, 0);
+    let (snap, reports, handled) = run_pool(1_600, 2, 3, 1, 120, true, false, 0);
     assert_conserved(&snap, 1_600);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered, "handler saw every delivered packet");
@@ -201,7 +195,7 @@ fn inorder_claims_deliver_sequenced_and_conserve() {
 /// perturb the forced-stop sweep.
 #[test]
 fn forced_stop_drains_reorder_buffer_without_leaks() {
-    let (snap, reports, handled) = run_concurrent(2_000, 2, 3, 4, 150, true, true, 2 * 1024);
+    let (snap, reports, handled) = run_pool(2_000, 2, 3, 4, 150, true, true, 2 * 1024);
     assert_conserved(&snap, 2_000);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered);
@@ -229,7 +223,7 @@ proptest! {
         llc_kb in prop_oneof![Just(0u64), 256u64..16_384],
     ) {
         let (snap, reports, handled) =
-            run_concurrent(total, queues, workers, flows, stall_us, in_order, force_stop, llc_kb);
+            run_pool(total, queues, workers, flows, stall_us, in_order, force_stop, llc_kb);
         assert_conserved(&snap, total);
         let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
         prop_assert_eq!(handled, delivered);

@@ -5,9 +5,9 @@
 //! are both incremented at stage time on the capture thread — the same
 //! code path, before the chunk is even published — so no consumer-side
 //! interleaving can split them. What a departing consumer *can* do is
-//! strand offloaded chunks in the target queue's rings; the engine's
-//! contract is that a later consumer on the same queue (SPSC hand-off,
-//! never concurrent) finds and recycles them, leaving the global
+//! strand offloaded chunks in the target queue's claim queue; the
+//! engine's contract is that a later consumer on the same queue finds
+//! and recycles them, leaving the global
 //! accounting conserved:
 //!
 //! * Σ `offloaded_out_chunks` == Σ `offloaded_in_chunks`,
@@ -39,7 +39,7 @@ use std::time::Duration;
 use telemetry::EngineSnapshot;
 use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
-use wirecap::{CaptureBackend, LoopbackBackend, NicSimBackend, WireCapConfig};
+use wirecap::{BuddyGroup, CaptureBackend, LoopbackBackend, NicSimBackend, WireCapConfig};
 
 /// Both loopback-capable backends, same two-queue geometry: the offload
 /// conservation laws are a property of the engine, not of where frames
@@ -114,7 +114,7 @@ fn run_interleaving(
 
     // The early-exit consumer on the offload target: takes at most
     // `early_chunks` chunks, recycles them, then drops mid-run —
-    // stranding whatever lands on the target's rings afterwards.
+    // stranding whatever lands on the target's claim queue afterwards.
     let early_thread = {
         let mut c = engine.consumer(target);
         std::thread::spawn(move || {
@@ -148,11 +148,10 @@ fn run_interleaving(
     };
 
     // Rescue: after the early consumer is gone (sequential hand-off on
-    // the same queue — never two concurrent SPSC consumers), a fresh
-    // consumer drains the stranded chunks to end-of-stream. It must
-    // start before the injector joins: with nobody popping the target's
-    // rings, the busy capture thread's flush would wedge and the NIC
-    // ring behind it would fill.
+    // the same queue), a fresh consumer drains the stranded chunks to
+    // end-of-stream. It must start before the injector joins: with
+    // nobody claiming from the target's queue, offloaded chunks would
+    // pin the busy queue's pool and the NIC ring behind it would fill.
     early_thread.join().expect("early consumer panicked");
     let mut rescue = engine.consumer(target);
     while let Some(chunk) = rescue.next_chunk() {
@@ -225,6 +224,55 @@ fn offloads_fire_and_survive_target_consumer_exit() {
         assert!(
             out > 0,
             "{name}: scenario failed to trigger offloading: {snap:?}"
+        );
+    }
+}
+
+/// Buddy placement must see the backlog waiting in the claim queues,
+/// not only the chunks staged in the current flush. One flow pins all
+/// traffic to one queue and a single slow pool worker drains both, so
+/// the hot queue's claim queue sits above T for most of the run and
+/// placement must keep moving chunks to the idle buddy.
+#[test]
+fn placement_counts_the_claim_queue_backlog() {
+    const TOTAL: u64 = 20_000;
+    for backend in backends() {
+        let name = backend.name();
+        let mut cfg = WireCapConfig::advanced(32, 40, 0.2, 0);
+        cfg.capture_timeout_ns = 1_000_000;
+        let upcast: Arc<dyn CaptureBackend> = backend.clone();
+        let engine = LiveWireCap::builder()
+            .backend(upcast)
+            .config(cfg)
+            .groups(BuddyGroups::single(2))
+            .start();
+        let pool = engine.consumer_pool(&BuddyGroup::all(2), 1, |_| {
+            std::thread::sleep(Duration::from_micros(200));
+        });
+        let mut b = PacketBuilder::new();
+        let flow = FlowKey::udp(
+            Ipv4Addr::new(10, 7, 7, 7),
+            7_777,
+            Ipv4Addr::new(131, 225, 2, 1),
+            443,
+        );
+        for i in 0..TOTAL {
+            let pkt = b.build_packet(i * 1_000, &flow, 120).unwrap();
+            while backend.inject(pkt.clone()).is_none() {
+                std::thread::yield_now();
+            }
+        }
+        backend.stop().expect("stop backend");
+        let observer = engine.observer();
+        engine.shutdown();
+        pool.join();
+        let snap = observer.snapshot();
+        assert_conserved(&snap, TOTAL);
+        let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
+        let offloaded: u64 = snap.queues.iter().map(|q| q.offloaded_out_chunks).sum();
+        assert!(
+            offloaded * 4 >= sealed,
+            "{name}: only {offloaded} of {sealed} sealed chunks offloaded: {snap:?}"
         );
     }
 }

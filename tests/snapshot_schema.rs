@@ -38,16 +38,12 @@ const QUEUE_FIELDS: &[&str] = &[
     "offloaded_out_chunks",
     "disk_written_packets",
     "disk_drop_packets",
-    "steal_in_chunks",
-    "steal_out_chunks",
-    "stolen_packets",
     "worker_parks",
     "claim_contention",
     "flow_tracked_packets",
     "flow_evicted_flows",
     "flow_evicted_packets",
     "flow_hash_collisions",
-    "steal_queue_len",
     "reorder_occupancy",
     "flow_table_occupancy",
     "capture_queue_len",
