@@ -1,14 +1,11 @@
-//! Capture-to-delivery tail latency under pool tuning modes
-//! (`fig_latency`, DESIGN.md §4.16).
+//! Capture-to-delivery tail latency against pool size (`fig_latency`,
+//! DESIGN.md §4.16).
 //!
-//! The experiment behind the cache-resident fast path: a large ring
-//! buffer pool is great for loss tolerance but terrible for tail
-//! latency — when the consumer lags, up to R chunks queue behind it,
-//! and every queued chunk adds a full service time to the chunks
-//! sealed after it (classic bufferbloat, in chunk units). The
-//! `CacheResident` tuning mode shrinks the pool to an LLC budget and
-//! bounds the consumer's backlog at the derived recycle depth, so the
-//! worst-case queueing delay is structural, not R-sized.
+//! A large ring buffer pool is great for loss tolerance but costs tail
+//! latency: when the consumer lags, up to R chunks queue behind it, and
+//! every queued chunk adds a full service time to the chunks sealed
+//! after it (bufferbloat, in chunk units). R is therefore the one knob
+//! that trades loss tolerance for a short tail.
 //!
 //! Each data point runs the live engine over the nicsim backend at a
 //! fixed offered load (or saturating when `offered_pps == 0`), drains
@@ -28,7 +25,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use telemetry::HistogramSnapshot;
 use wirecap::buddy::BuddyGroups;
-use wirecap::config::TuningMode;
 use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::WireCapConfig;
@@ -45,18 +41,8 @@ pub const CHUNK_IO_US: u64 = 20;
 /// One measured configuration of the latency sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct LatencyPoint {
-    /// `"throughput"` or `"cache_resident"`.
-    pub mode: &'static str,
-    /// LLC budget handed to `CacheResident` (0 for `Throughput`).
-    pub llc_bytes: u64,
-    /// Configured pool chunks R (before the tuning derivation).
+    /// Pool chunks R.
     pub pool_chunks: usize,
-    /// Effective pool chunks after the derivation.
-    pub r_effective: usize,
-    /// Fast-recycle depth bound (0 = unbounded lazy recycle).
-    pub recycle_depth: usize,
-    /// Derived per-queue hot working set, bytes.
-    pub working_set_bytes: u64,
     /// Paced injection rate, packets/s (0 = saturating).
     pub offered_pps: u64,
     /// Packets offered (and, conservation-checked, accounted).
@@ -73,10 +59,14 @@ pub struct LatencyPoint {
     /// Capture-to-delivery latency 99th percentile, ns.
     pub p99_ns: u64,
     /// Capture-to-delivery latency 99.9th percentile, ns — the SLO
-    /// number `scripts/check.sh` gates across tuning modes.
+    /// number `scripts/check.sh` gates across pool sizes.
     pub p999_ns: u64,
     /// Largest latency sample observed, ns.
     pub max_ns: u64,
+    /// Saturating points only: the tail bound of a FIFO claim queue,
+    /// ns — at most R chunks wait, each served in `M / pps` seconds on
+    /// average.
+    pub backlog_bound_ns: Option<u64>,
 }
 
 /// Single-flow traffic: everything lands on queue 0, so one consumer's
@@ -94,14 +84,12 @@ fn traffic(n: u64) -> Vec<Packet> {
         .collect()
 }
 
-/// Runs one latency point: `r` configured pool chunks under `tuning`,
-/// injection paced at `offered_pps` (0 = as fast as the NIC accepts),
-/// one queue, one pool worker with the blocking per-chunk stage.
-pub fn latency_point(tuning: TuningMode, r: usize, offered_pps: u64, packets: u64) -> LatencyPoint {
+/// Runs one latency point: `r` pool chunks, injection paced at
+/// `offered_pps` (0 = as fast as the NIC accepts), one queue, one pool
+/// worker with the blocking per-chunk stage.
+pub fn latency_point(r: usize, offered_pps: u64, packets: u64) -> LatencyPoint {
     let mut cfg = WireCapConfig::basic(M, r, 0);
     cfg.capture_timeout_ns = 2_000_000;
-    cfg.tuning = tuning;
-    let plan = cfg.tuning_plan(1);
 
     let traffic = traffic(packets);
     let nic = LiveNic::new(1, 4096);
@@ -168,26 +156,19 @@ pub fn latency_point(tuning: TuningMode, r: usize, offered_pps: u64, packets: u6
     for q in &snap.queues {
         latency.merge(&q.latency_ns);
     }
-    let (mode, llc_bytes) = match tuning {
-        TuningMode::Throughput => ("throughput", 0),
-        TuningMode::CacheResident { llc_bytes } => ("cache_resident", llc_bytes),
-    };
+    let pps = delivered as f64 / elapsed;
     LatencyPoint {
-        mode,
-        llc_bytes,
         pool_chunks: r,
-        r_effective: plan.r,
-        recycle_depth: plan.recycle_depth,
-        working_set_bytes: plan.working_set_bytes,
         offered_pps,
         packets,
         elapsed_s: elapsed,
-        pps: delivered as f64 / elapsed,
+        pps,
         samples: latency.count,
         p50_ns: latency.quantile(0.5),
         p99_ns: latency.quantile(0.99),
         p999_ns: latency.quantile(0.999),
         max_ns: latency.max,
+        backlog_bound_ns: (offered_pps == 0).then(|| ((r * M) as f64 * 1e9 / pps) as u64),
     }
 }
 
@@ -196,24 +177,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_modes_conserve_and_report_quantiles() {
-        let t = latency_point(TuningMode::Throughput, 64, 0, 30_000);
-        assert_eq!(t.packets, 30_000);
-        assert!(t.samples > 0);
-        assert!(t.p50_ns <= t.p99_ns && t.p99_ns <= t.p999_ns);
-        assert!(t.p999_ns <= t.max_ns);
-        assert_eq!(t.recycle_depth, 0);
-
-        let c = latency_point(
-            TuningMode::CacheResident { llc_bytes: 4 << 20 },
-            64,
-            0,
-            30_000,
-        );
-        assert_eq!(c.mode, "cache_resident");
-        assert!(c.r_effective <= 64);
-        assert!(c.recycle_depth >= 1);
-        assert!(c.p50_ns <= c.p99_ns && c.p99_ns <= c.p999_ns);
+    fn saturated_point_conserves_and_reports_quantiles() {
+        for r in [31, 64] {
+            let p = latency_point(r, 0, 30_000);
+            assert_eq!(p.pool_chunks, r);
+            assert_eq!(p.packets, 30_000);
+            assert!(p.samples > 0);
+            assert!(p.p50_ns <= p.p99_ns && p.p99_ns <= p.p999_ns);
+            assert!(p.p999_ns <= p.max_ns);
+        }
     }
 
     #[test]
@@ -221,7 +193,7 @@ mod tests {
         // 500 kp/s for 25k packets ≈ 50 ms floor; saturating would
         // finish much faster. The ceiling check is loose (scheduling),
         // the floor is the point.
-        let p = latency_point(TuningMode::Throughput, 64, 500_000, 25_000);
+        let p = latency_point(64, 500_000, 25_000);
         assert!(
             p.elapsed_s >= 0.045,
             "paced run finished implausibly fast: {}s",

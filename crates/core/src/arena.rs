@@ -52,6 +52,22 @@ mod imp {
         ARENA_ALLOCATIONS.load(Ordering::Relaxed)
     }
 
+    /// Unit tests run in parallel in one process, so a test that
+    /// asserts [`arena_allocations`] did not move would see other
+    /// tests' constructions. Construction holds this lock shared; a
+    /// counter-reading test holds it exclusively across its hot phase
+    /// (after its own construction, so it cannot deadlock on itself).
+    #[cfg(test)]
+    static CONSTRUCTION: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    /// Blocks arena construction on every thread until the guard drops.
+    #[cfg(test)]
+    pub(crate) fn quiesce_construction() -> std::sync::RwLockWriteGuard<'static, ()> {
+        CONSTRUCTION
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// A write-capable token for one chunk of an arena. See the module
     /// docs for the token discipline.
     #[derive(Debug)]
@@ -216,6 +232,10 @@ mod imp {
         /// returned `FreeSlot`s are the complete, final token population.
         pub fn with_slots(r: usize, m: usize, cell_bytes: usize) -> (Arc<Self>, Vec<FreeSlot>) {
             assert!(r > 0 && m > 0 && cell_bytes > 0);
+            #[cfg(test)]
+            let _construction = CONSTRUCTION
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             let cells = r * m;
             let id = ARENA_IDS.fetch_add(1, Ordering::Relaxed);
             let arena = Arc::new(ChunkArena {
@@ -330,6 +350,8 @@ mod imp {
     }
 }
 
+#[cfg(test)]
+pub(crate) use imp::quiesce_construction;
 pub use imp::{arena_allocations, ChunkArena, ChunkView, FreeSlot, PacketRef, SealedSlot};
 
 #[cfg(test)]
@@ -404,6 +426,7 @@ mod tests {
     fn allocation_hook_moves_only_at_construction() {
         let before = arena_allocations();
         let (arena, mut slots) = ChunkArena::with_slots(4, 8, 128);
+        let _quiet = quiesce_construction();
         let after_open = arena_allocations();
         assert!(after_open > before);
         let mut slot = slots.pop().unwrap();

@@ -416,31 +416,6 @@ impl CaptureEngine for WireCapEngine {
         }
         l
     }
-
-    fn tuning(&self) -> Option<telemetry::TuningTelemetry> {
-        Some(tuning_telemetry(&self.cfg, self.queues.len()))
-    }
-}
-
-/// Renders the resolved [`TuningPlan`](crate::config::TuningPlan) for
-/// `cfg` into the snapshot schema, shared by the sim engine and the
-/// live threaded path.
-pub fn tuning_telemetry(cfg: &WireCapConfig, queues: usize) -> telemetry::TuningTelemetry {
-    let plan = cfg.tuning_plan(queues);
-    let (mode, llc_bytes) = match cfg.tuning {
-        crate::config::TuningMode::Throughput => ("throughput", 0),
-        crate::config::TuningMode::CacheResident { llc_bytes } => ("cache_resident", llc_bytes),
-    };
-    telemetry::TuningTelemetry {
-        mode: mode.into(),
-        llc_bytes,
-        queues: queues as u64,
-        r_configured: cfg.r as u64,
-        r_effective: plan.r as u64,
-        m_effective: plan.m as u64,
-        recycle_depth: plan.recycle_depth as u64,
-        working_set_bytes: plan.working_set_bytes,
-    }
 }
 
 #[cfg(test)]

@@ -167,17 +167,6 @@ pub(crate) struct Shared {
     /// In-order mode: one reorder buffer per *home* queue (capacity R)
     /// re-serializing claimed chunks by seal sequence.
     pub(crate) reorder: Option<Vec<ReorderBuffer<LiveChunk>>>,
-    /// Fast-recycle bound from the resolved [`TuningPlan`]: max
-    /// sealed-but-unrecycled chunks a consumer holds before it
-    /// prioritizes recycling over claiming new work. 0 = unbounded
-    /// (`Throughput` mode's lazy recycle at refill).
-    ///
-    /// [`TuningPlan`]: crate::config::TuningPlan
-    pub(crate) recycle_depth: usize,
-    /// The resolved tuning derivation, reported verbatim in every
-    /// engine snapshot so a capture of "what geometry actually ran"
-    /// travels with the counters.
-    pub(crate) tuning: telemetry::TuningTelemetry,
 }
 
 /// The live WireCAP engine: per-queue capture threads over any
@@ -242,14 +231,6 @@ impl LiveWireCap {
     ) -> Self {
         cfg.validate().expect("invalid WireCAP configuration");
         let queues = backend.queue_count();
-        // Resolve the tuning derivation (DESIGN.md §4.16) against the
-        // actual queue count and build the pools with the *effective*
-        // geometry: `CacheResident` shrinks R (and sometimes M) so the
-        // hot working set fits the LLC budget; `Throughput` is the
-        // identity.
-        let plan = cfg.tuning_plan(queues);
-        let tuning = crate::engine::tuning_telemetry(&cfg, queues);
-        let cfg = plan.apply(cfg);
         let mut arenas = Vec::with_capacity(queues);
         let mut freelists = Vec::with_capacity(queues);
         for _ in 0..queues {
@@ -269,8 +250,6 @@ impl LiveWireCap {
             reorder: cfg
                 .in_order
                 .then(|| (0..queues).map(|_| ReorderBuffer::new(cfg.r)).collect()),
-            recycle_depth: plan.recycle_depth,
-            tuning,
         });
         if std::env::var_os("WIRECAP_TELEMETRY_DUMP").is_some() {
             dump::install_sigusr1();
@@ -493,7 +472,6 @@ fn engine_snapshot(
 ) -> EngineSnapshot {
     EngineSnapshot {
         engine: cfg.name(),
-        tuning: Some(shared.tuning.clone()),
         queues: (0..shared.claims.len())
             .map(|q| queue_telemetry(shared, backend, cfg, q))
             .collect(),
@@ -982,21 +960,11 @@ impl LiveConsumer {
         }
     }
 
-    /// Claims a batch from the queue's claim queue into the local inbox.
-    ///
-    /// Fast-recycle mode (`CacheResident` tuning): the claim is capped
-    /// at the plan's recycle depth, so the consumer never holds more
-    /// sealed-but-unrecycled chunks than the bound — each one goes back
-    /// to the capture thread while its cells are still cache-warm,
-    /// instead of queueing a full batch behind the handler.
+    /// Claims up to [`REFILL_BATCH`] chunks from the queue's claim queue
+    /// into the local inbox.
     fn refill(&mut self) -> bool {
         self.flush_tally();
-        let depth = self.shared.recycle_depth;
-        let mut budget = if depth > 0 {
-            depth.saturating_sub(self.inbox.len()).max(1)
-        } else {
-            REFILL_BATCH
-        };
+        let mut budget = REFILL_BATCH;
         let claims = &self.shared.claims[self.q];
         let first = self.inbox.len();
         while budget > 0 {
@@ -1306,6 +1274,7 @@ mod tests {
         let mut c = cap.consumer(0);
         let chunk = c.next_chunk().expect("one full chunk");
         assert_eq!(chunk.len(), 64);
+        let quiet = crate::arena::quiesce_construction();
         let allocs_before = crate::arena::arena_allocations();
         {
             let view = c.view(&chunk);
@@ -1320,9 +1289,69 @@ mod tests {
             allocs_before,
             "view consumption must not allocate"
         );
+        drop(quiet);
         c.recycle(chunk);
         assert!(c.next_chunk().is_none());
         cap.shutdown();
+    }
+
+    /// Backlogs 8 sealed chunks on one queue, then drains them through
+    /// a pool whose handler sleeps 5 ms, and returns the spread
+    /// `max − mean` of the engine's latency samples, ns. Honest
+    /// per-chunk delivery stamps spread over the ~35 ms drain; a stamp
+    /// shared by several chunks collapses the spread towards 0.
+    fn delivery_stamp_spread_ns(in_order: bool, queues: usize, workers: usize) -> f64 {
+        let nic = LiveNic::new(queues, 4096);
+        let mut cfg = test_cfg();
+        cfg.in_order = in_order;
+        let cap = start(&nic, cfg, BuddyGroups::single(queues));
+        // One flow, so every chunk lands on the same queue.
+        let flow = FlowKey::udp(
+            Ipv4Addr::new(10, 0, 0, 1),
+            1000,
+            Ipv4Addr::new(131, 225, 2, 1),
+            443,
+        );
+        let mut b = PacketBuilder::new();
+        for i in 0..8 * cfg.m as u64 {
+            nic.inject(b.build_packet(i, &flow, 100).unwrap()).unwrap();
+        }
+        let sealed = || -> u64 { cap.snapshot().queues.iter().map(|q| q.sealed_chunks).sum() };
+        while sealed() < 8 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let pool = cap.consumer_pool(&BuddyGroup::all(queues), workers, |_| {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        });
+        nic.stop();
+        let reports = pool.join();
+        assert_eq!(reports.iter().map(|r| r.chunks).sum::<u64>(), 8);
+        // Each worker records into its own queue's shard.
+        let mut latency = telemetry::HistogramSnapshot::default();
+        for q in &cap.snapshot().queues {
+            latency.merge(&q.latency_ns);
+        }
+        cap.shutdown();
+        assert_eq!(latency.count, 8);
+        latency.max as f64 - latency.mean()
+    }
+
+    /// Unordered: a worker claims a burst of chunks one at a time and
+    /// runs the handler between claims, so each chunk is stamped at its
+    /// own claim, not once per burst. In order: the worker holding the
+    /// reorder pump delivers every chunk its peer parked behind it, so
+    /// each released chunk is stamped at its own release, not at the
+    /// pump holder's claim.
+    #[test]
+    fn pool_stamps_each_delivery() {
+        for (in_order, queues, workers) in [(false, 1, 1), (true, 2, 2)] {
+            let spread_ns = delivery_stamp_spread_ns(in_order, queues, workers);
+            assert!(
+                spread_ns >= 10e6,
+                "in_order={in_order}: delivery stamps spread only {:.1} ms",
+                spread_ns / 1e6
+            );
+        }
     }
 
     #[test]

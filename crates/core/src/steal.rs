@@ -612,26 +612,19 @@ fn profiler_for(ctx: &WorkerCtx) -> Option<WorkerProfiler> {
 /// Processes one chunk: hands it to the handler, closes the latency
 /// interval, recycles the slot home, and tallies delivery telemetry.
 ///
-/// `delivered_ns` is the caller's batch delivery stamp — read once per
-/// burst (the moment the batch crossed from the engine to this worker)
-/// and shared by every chunk in it, mirroring [`LiveConsumer`]'s
-/// per-refill stamp. One clock read per *burst*, not per chunk, is the
-/// fix for the small-M latency-overhead regression, where chunks seal
-/// every few packets and a per-chunk clock read dominates the delivery
-/// cost.
-fn process_chunk(
-    ctx: &WorkerCtx,
-    report: &mut PoolWorkerReport,
-    mut chunk: LiveChunk,
-    delivered_ns: u64,
-) {
+/// The delivery stamp is read here, once per chunk: a worker runs the
+/// handler between chunks (and in in-order mode the pump holder also
+/// delivers chunks its peers parked), so any stamp read earlier would
+/// predate this chunk's delivery by whole service times.
+fn process_chunk(ctx: &WorkerCtx, report: &mut PoolWorkerReport, mut chunk: LiveChunk) {
+    let delivered_ns = clock::mono_ns();
     let home = chunk.home();
     let len = chunk.len() as u64;
     let stolen = !ctx.owned.contains(&home);
     // Sampled chunk: the handler call is the deliver stage (the claim
     // stamps were set at the winning CAS).
     if let Some(span) = chunk.span.as_mut() {
-        span.deliver_start_ns = clock::mono_ns();
+        span.deliver_start_ns = delivered_ns;
     }
     {
         let view = ctx.shared.arenas[home].view(&chunk.seal);
@@ -747,38 +740,23 @@ fn claim_loop(ctx: WorkerCtx) -> PoolWorkerReport {
 
         let mut claimed = false;
         let mut contended = false;
-        // Fast-recycle mode caps the per-queue claim burst at the
-        // recycle depth: a worker turns each claimed chunk around
-        // (deliver + recycle home) within a bounded window before
-        // scanning for more, instead of monopolizing one queue's
-        // cursor for a full burst while sealed cells cool.
-        let burst = if ctx.shared.recycle_depth > 0 {
-            PROCESS_BURST.min(ctx.shared.recycle_depth)
-        } else {
-            PROCESS_BURST
-        };
         for i in 0..members {
             // Rotate the scan start per worker so N workers don't all
             // hammer the same queue's claim cursor first.
             let q = ctx.members[(ctx.worker + i) % members];
-            // Delivery stamp shared by the whole burst (lazy: no clock
-            // read on an empty scan).
-            let mut burst_ns = 0u64;
-            for _ in 0..burst {
+            for _ in 0..PROCESS_BURST {
                 match claims[q].try_claim() {
                     Claim::Claimed(mut chunk) => {
                         claimed = true;
-                        if burst_ns == 0 {
-                            burst_ns = clock::mono_ns();
-                        }
                         // The winning CAS is the whole acquisition (the
                         // claim stage is the CAS itself); reorder-buffer
                         // dwell then lands in the reorder stage.
                         if let Some(span) = chunk.span.as_mut() {
-                            span.acquire_started_ns = burst_ns;
-                            span.acquired_ns = burst_ns;
+                            let claimed_ns = clock::mono_ns();
+                            span.acquire_started_ns = claimed_ns;
+                            span.acquired_ns = claimed_ns;
                         }
-                        deliver_claimed(&ctx, &mut report, reorder, chunk, burst_ns);
+                        deliver_claimed(&ctx, &mut report, reorder, chunk);
                     }
                     Claim::Contended => {
                         ctx.shared.tel.queue(q).pool.claim_contention.inc();
@@ -854,10 +832,9 @@ fn deliver_claimed(
     report: &mut PoolWorkerReport,
     reorder: Option<&[ReorderBuffer<LiveChunk>]>,
     chunk: LiveChunk,
-    delivered_ns: u64,
 ) {
     let Some(ro) = reorder else {
-        process_chunk(ctx, report, chunk, delivered_ns);
+        process_chunk(ctx, report, chunk);
         return;
     };
     // Claimed after stop was raised: drop instead of parking it in the
@@ -870,7 +847,7 @@ fn deliver_claimed(
     let buf = &ro[chunk.home()];
     let home = chunk.home();
     buf.insert(chunk.seq(), chunk);
-    let delivered = buf.pump(|_seq, c| process_chunk(ctx, report, c, delivered_ns));
+    let delivered = buf.pump(|_seq, c| process_chunk(ctx, report, c));
     ctx.shared
         .tel
         .queue(home)

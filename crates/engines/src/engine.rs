@@ -108,19 +108,11 @@ pub trait CaptureEngine {
     fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             engine: self.name(),
-            tuning: self.tuning(),
             queues: (0..self.queues()).map(|q| self.telemetry(q)).collect(),
             workers: Vec::new(),
             copies: self.copies(),
             latency: self.latency(),
         }
-    }
-
-    /// The resolved pool-tuning plan, for engines whose buffer pool is
-    /// sized by a `TuningMode` derivation. Engines without a tuned
-    /// pool report `None`.
-    fn tuning(&self) -> Option<telemetry::TuningTelemetry> {
-        None
     }
 
     /// Packet-byte copies performed on the capture/delivery path.

@@ -143,7 +143,6 @@ mod tests {
             }],
             snapshot: EngineSnapshot {
                 engine: "test".into(),
-                tuning: None,
                 queues: vec![],
                 workers: vec![],
                 copies: sim::stats::CopyMeter::default(),

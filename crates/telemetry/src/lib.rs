@@ -62,7 +62,7 @@ pub use pipeline::{PipelineConfig, TelemetryPipeline};
 pub use registry::Registry;
 pub use sampler::{Observable, Sampler, SamplerConfig, SamplerCore, SamplerState};
 pub use scrape::ScrapeServer;
-pub use snapshot::{EngineSnapshot, QueueTelemetry, TuningTelemetry};
+pub use snapshot::{EngineSnapshot, QueueTelemetry};
 pub use spans::{
     chrome_trace_json, SpanRecord, SpanRing, SpanStamps, WorkerState, WorkerTelemetry,
     WorkerTimeState, DEFAULT_SPAN_CAPACITY,

@@ -15,7 +15,6 @@
 //!     fn snapshot(&self) -> EngineSnapshot {
 //!         EngineSnapshot {
 //!             engine: "my-engine".into(),
-//!             tuning: None,
 //!             queues: vec![QueueTelemetry::empty(0)],
 //!             workers: Vec::new(),
 //!             copies: Default::default(),
@@ -202,7 +201,6 @@ mod tests {
         fn snapshot(&self) -> EngineSnapshot {
             EngineSnapshot {
                 engine: "pipeline-test".into(),
-                tuning: None,
                 queues: vec![QueueTelemetry::empty(0)],
                 workers: Vec::new(),
                 copies: sim::stats::CopyMeter::default(),

@@ -342,7 +342,6 @@ mod tests {
             }
             EngineSnapshot {
                 engine: "fake".into(),
-                tuning: None,
                 queues: vec![q],
                 workers: Vec::new(),
                 copies: sim::stats::CopyMeter::default(),

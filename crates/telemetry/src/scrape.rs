@@ -372,7 +372,6 @@ mod tests {
             q.captured_packets = 42;
             EngineSnapshot {
                 engine: "scrape-test".into(),
-                tuning: None,
                 queues: vec![q],
                 workers: Vec::new(),
                 copies: sim::stats::CopyMeter::default(),

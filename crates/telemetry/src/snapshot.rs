@@ -208,40 +208,12 @@ impl From<QueueTelemetry> for DropStats {
     }
 }
 
-/// How an engine's pool geometry was derived by the tuning sizing
-/// pass (DESIGN.md §4.16). Logged into [`EngineSnapshot`] so a
-/// capture's cache-budget decisions are auditable after the fact.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TuningTelemetry {
-    /// `"throughput"` or `"cache_resident"`.
-    pub mode: String,
-    /// Target LLC budget in bytes (0 in throughput mode).
-    pub llc_bytes: u64,
-    /// Queue count the budget was split across.
-    pub queues: u64,
-    /// Configured pool chunks per queue (R before the sizing pass).
-    pub r_configured: u64,
-    /// Effective pool chunks per queue the engine runs with.
-    pub r_effective: u64,
-    /// Effective cells per chunk (M after the sizing pass).
-    pub m_effective: u64,
-    /// Max sealed-but-unrecycled chunks per queue before consumers
-    /// prioritize recycling (0 = unbounded lazy recycle).
-    pub recycle_depth: u64,
-    /// Estimated per-queue hot working set at the effective geometry.
-    pub working_set_bytes: u64,
-}
-
 /// Full engine snapshot: one [`QueueTelemetry`] per queue plus the
 /// engine-wide copy and latency meters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Engine display name (e.g. `WireCAP-A-(64, 20, 60%)`).
     pub engine: String,
-    /// The tuning sizing pass that produced the engine's pool
-    /// geometry (`None` for engines without a tuned pool).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub tuning: Option<TuningTelemetry>,
     /// Per-queue telemetry, indexed by queue.
     pub queues: Vec<QueueTelemetry>,
     /// Per-pool-worker time-state profiles (empty unless a
@@ -434,7 +406,6 @@ mod tests {
         q0.stage_deliver_ns.buckets = vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 1];
         EngineSnapshot {
             engine: "test".into(),
-            tuning: None,
             queues: vec![q0, QueueTelemetry::empty(1)],
             workers: vec![WorkerTelemetry {
                 worker: 0,

@@ -16,9 +16,10 @@
 #                    (backend_dispatch_overhead)
 #   flow_tracking    per-chunk flow analytics (flow_tracking_overhead)
 #   latency_slo      tail-latency SLO pair (DESIGN.md section 4.16):
-#                    Throughput vs CacheResident p50/p99/p99.9 at the
-#                    same configured pool under saturating load; gated
-#                    cache_resident_p999_ns <= throughput_p999_ns
+#                    R = 31 vs R = 256 p50/p99/p99.9 under saturating
+#                    load, plus the small pool's R x M / pps bound
+#                    (reported, not gated); gated
+#                    small_pool_p999_ns <= large_pool_p999_ns
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -205,19 +206,21 @@ awk '
     }
 ' BENCH_hotpath.json
 
-echo "==> tail-latency SLO gate (cache-resident p99.9 <= throughput p99.9)"
-# The cache-resident fast path (DESIGN.md section 4.16) exists to buy
-# tail latency: at the same configured pool under saturating load, the
-# LLC-sized pool with fast recycling must not show a worse p99.9 than
-# the throughput-tuned pool whose backlog runs R chunks deep.
+echo "==> tail-latency SLO gate (small-pool p99.9 <= large-pool p99.9)"
+# R alone bounds the sealed backlog (DESIGN.md section 4.16): under
+# saturating load the R = 31 pool, whose backlog is at most 31 chunks
+# deep, must not show a worse p99.9 than the R = 256 pool. The small
+# pool's R x M / pps bound is printed beside it but not gated: measured
+# p99.9 has landed above it (one histogram bucket, plus host stalls).
 awk '
-    /"throughput_p999_ns":/ { sub(/,$/, "", $2); thr = $2 + 0; seen_t = 1 }
-    /"cache_resident_p999_ns":/ { sub(/,$/, "", $2); cache = $2 + 0; seen_c = 1 }
+    /"large_pool_p999_ns":/ { sub(/,$/, "", $2); large = $2 + 0; seen_l = 1 }
+    /"small_pool_p999_ns":/ { sub(/,$/, "", $2); small = $2 + 0; seen_s = 1 }
+    /"small_pool_bound_ns":/ { sub(/,$/, "", $2); bound = $2 + 0 }
     END {
-        if (!seen_t || !seen_c) { print "FAIL: no latency_slo p99.9 entries in BENCH_hotpath.json"; exit 1 }
-        printf "    throughput p99.9=%dus  cache_resident p99.9=%dus\n", thr / 1000, cache / 1000
-        if (cache > thr) {
-            printf "FAIL: cache-resident p99.9 %dus exceeds throughput p99.9 %dus\n", cache / 1000, thr / 1000
+        if (!seen_l || !seen_s) { print "FAIL: no latency_slo p99.9 entries in BENCH_hotpath.json"; exit 1 }
+        printf "    large pool p99.9=%dus  small pool p99.9=%dus (bound %dus)\n", large / 1000, small / 1000, bound / 1000
+        if (small > large) {
+            printf "FAIL: small-pool p99.9 %dus exceeds large-pool p99.9 %dus\n", small / 1000, large / 1000
             exit 1
         }
     }
@@ -227,7 +230,7 @@ echo "==> BENCH_hotpath.json gated-entry completeness"
 # Every key a gate above reads must be present: a refactor that drops
 # one from the benchmark output must fail here, not silently skip its
 # gate on the next edit.
-for key in latency_overhead span_tracing_overhead disk_writer_overhead pool_speedup hotq_speedup backend_dispatch_overhead flow_tracking_overhead latency_slo throughput_p999_ns cache_resident_p999_ns; do
+for key in latency_overhead span_tracing_overhead disk_writer_overhead pool_speedup hotq_speedup backend_dispatch_overhead flow_tracking_overhead latency_slo large_pool_p999_ns small_pool_p999_ns; do
     if ! grep -q "\"$key\":" BENCH_hotpath.json; then
         echo "FAIL: BENCH_hotpath.json is missing gated entry \"$key\"" >&2
         exit 1
@@ -265,11 +268,20 @@ echo "==> online flow analytics point (2k flows, 2 workers, small)"
 # the binary at every point.
 cargo run -q --release -p bench --bin fig_flows -- --small --out target/check-flows
 
-echo "==> tail-latency sweep point (pool size x load x tuning, small)"
+echo "==> tail-latency sweep point (pool size x load, small)"
 # Conservation is asserted inside the binary at every point; the
 # headline pair (largest pool, saturating load) is echoed in the
 # table title.
 cargo run -q --release -p bench --bin fig_latency -- --small --out target/check-latency
+
+echo "==> EXPERIMENTS.md tables match the committed results/*.json"
+# The smoke runs above write under target/, so results/ stays the
+# reference the EXPERIMENTS tables are rendered from.
+if command -v python3 >/dev/null 2>&1; then
+    python3 scripts/experiments_tables.py --check
+else
+    echo "    python3 not installed; skipping"
+fi
 
 echo "==> capture-to-disk smoke (conservation + rotation + degradation)"
 cargo test -q --test capture_to_disk

@@ -18,10 +18,9 @@
 //! Randomized worker stalls (a sleep on a pseudo-random subset of
 //! chunks) force reorder-buffer occupancy and claim contention, so the
 //! in-order path is exercised with real gaps, not just the fast path.
-//! The pool tuning mode is randomized too (DESIGN.md §4.16): runs
-//! alternate between `Throughput` and `CacheResident` at randomized
-//! LLC budgets, so the shrunk-pool/fast-recycle path faces the same
-//! interleavings — including forced stops — as the default.
+//! The pool geometry is randomized too: small pools down to one spare
+//! chunk past the descriptor segments face the same interleavings —
+//! including forced stops — as the default.
 
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
@@ -41,11 +40,8 @@ use wirecap::{PoolWorkerReport, WireCapConfig};
 /// sleep on every chunk whose sequence number lands on a small residue
 /// class, staggering workers so in-order runs accumulate real gaps.
 /// `force_stop` tears the pool down right after the claim queues close,
-/// exercising the claim-drain and reorder-strand sweep. `llc_kb > 0`
-/// switches the pool to `CacheResident` tuning at that LLC budget
-/// (shrinking R and bounding the claim burst at the recycle depth —
-/// the fast-recycle path must conserve under every interleaving too);
-/// 0 keeps the `Throughput` default.
+/// exercising the claim-drain and reorder-strand sweep. `(m, r)` is the
+/// pool geometry: cells per chunk and chunks per queue.
 #[allow(clippy::too_many_arguments)]
 fn run_pool(
     total: u64,
@@ -55,17 +51,12 @@ fn run_pool(
     stall_us: u64,
     in_order: bool,
     force_stop: bool,
-    llc_kb: u64,
+    (m, r): (usize, usize),
 ) -> (EngineSnapshot, Vec<PoolWorkerReport>, u64) {
     let nic = LiveNic::new(queues, 8192);
-    let mut cfg = WireCapConfig::basic(32, 64, 0);
+    let mut cfg = WireCapConfig::basic(m, r, 0);
     cfg.capture_timeout_ns = 1_000_000;
     cfg.in_order = in_order;
-    if llc_kb > 0 {
-        cfg.tuning = wirecap::TuningMode::CacheResident {
-            llc_bytes: llc_kb * 1024,
-        };
-    }
     let groups = BuddyGroups::single(queues);
     let group = groups.group_of(0).cloned().expect("queue 0 grouped");
     let engine = LiveWireCap::builder()
@@ -176,7 +167,7 @@ fn assert_conserved(snap: &EngineSnapshot, total: u64) {
 /// stalls, strictly increasing delivery asserted in the handler.
 #[test]
 fn inorder_claims_deliver_sequenced_and_conserve() {
-    let (snap, reports, handled) = run_pool(1_600, 2, 3, 1, 120, true, false, 0);
+    let (snap, reports, handled) = run_pool(1_600, 2, 3, 1, 120, true, false, (32, 64));
     assert_conserved(&snap, 1_600);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered, "handler saw every delivered packet");
@@ -190,12 +181,12 @@ fn inorder_claims_deliver_sequenced_and_conserve() {
 
 /// A forced stop mid-claim drops whatever is still queued or stranded
 /// behind a reorder gap, and the drops are accounted — no chunk is
-/// left in the buffer, no slot leaks. Runs under `CacheResident`
-/// tuning: the shrunk pool and the depth-bounded claim burst must not
-/// perturb the forced-stop sweep.
+/// left in the buffer, no slot leaks. Runs on the smallest pool (one
+/// spare chunk past the 32 descriptor segments), so capture is
+/// starved of free slots while the forced-stop sweep runs.
 #[test]
 fn forced_stop_drains_reorder_buffer_without_leaks() {
-    let (snap, reports, handled) = run_pool(2_000, 2, 3, 4, 150, true, true, 2 * 1024);
+    let (snap, reports, handled) = run_pool(2_000, 2, 3, 4, 150, true, true, (32, 33));
     assert_conserved(&snap, 2_000);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered);
@@ -208,9 +199,8 @@ proptest! {
     /// Conservation and per-queue delivery order hold across
     /// randomized claim interleavings: any worker count, any flow
     /// spread, any stall pattern, graceful or forced teardown,
-    /// ordered or unordered, under either tuning mode (`llc_kb == 0`
-    /// is `Throughput`; otherwise `CacheResident` budgets from a tiny
-    /// 256 KiB up past the pool's full working set).
+    /// ordered or unordered, at any pool geometry: M = 32 with R from
+    /// the floor N/M + 1 = 33 up to 64, or M = 16 with R = 65.
     #[test]
     fn claim_accounting_survives_random_interleavings(
         total in 400u64..2_500,
@@ -220,10 +210,10 @@ proptest! {
         stall_us in 0u64..150,
         in_order in any::<bool>(),
         force_stop in any::<bool>(),
-        llc_kb in prop_oneof![Just(0u64), 256u64..16_384],
+        geometry in prop_oneof![(33usize..=64).prop_map(|r| (32, r)), Just((16, 65))],
     ) {
         let (snap, reports, handled) =
-            run_pool(total, queues, workers, flows, stall_us, in_order, force_stop, llc_kb);
+            run_pool(total, queues, workers, flows, stall_us, in_order, force_stop, geometry);
         assert_conserved(&snap, total);
         let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
         prop_assert_eq!(handled, delivered);
