@@ -15,12 +15,13 @@
 //! this driver can be scraped while it processes.
 
 use crate::pkt_handler::PktHandler;
-use flowstat::{merge_top_k, FlowSink, FlowSinkConfig};
+use flowstat::{merge_top_k, FlowDeltas, FlowSink, FlowSinkConfig};
 use netproto::FlowKey;
 use nicsim::livenic::LiveNic;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use telemetry::counters::FlowSide;
 use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
@@ -183,6 +184,25 @@ pub struct FlowReport {
     pub workers: Vec<PoolWorkerReport>,
 }
 
+/// The flow stage's per-chunk flush: records one chunk's `frames` into
+/// a worker's `sink`, then adds the sink's counter deltas to `flow`, the
+/// chunk's home-queue shard. The adds are multi-writer because several
+/// workers may drain one hot queue. Returns the deltas, whose
+/// `occupancy` level the caller publishes as it sees fit.
+pub fn record_chunk_flows<'a>(
+    sink: &mut FlowSink,
+    frames: impl IntoIterator<Item = &'a [u8]>,
+    flow: &FlowSide,
+) -> FlowDeltas {
+    sink.record_frames(frames);
+    let deltas = sink.drain_deltas();
+    flow.flow_tracked_packets.add(deltas.packets);
+    flow.flow_evicted_flows.add(deltas.evicted_flows);
+    flow.flow_evicted_packets.add(deltas.evicted_packets);
+    flow.flow_hash_collisions.add(deltas.hash_collisions);
+    deltas
+}
+
 /// [`run_pooled`] with online flow analytics: each worker keeps a
 /// [`FlowSink`] (exact set-associative flow table + top-K candidate
 /// tracker) beside its BPF filter, and after every chunk flushes its
@@ -241,17 +261,11 @@ pub fn run_pooled_flows(
                 processed.fetch_add(d.len() as u64, Ordering::Relaxed);
                 matched.fetch_add(m, Ordering::Relaxed);
             });
-            let mut sink = sinks[d.worker()].lock().expect("flow sink poisoned");
-            sink.record_frames(d.view().iter().map(|p| p.data));
-            let deltas = sink.drain_deltas();
-            drop(sink);
-            // Counter deltas charge the chunk's home queue (multi-writer
-            // shard: several workers may drain one hot queue).
-            let flow = &reg.queue(d.home()).flow.0;
-            flow.flow_tracked_packets.add(deltas.packets);
-            flow.flow_evicted_flows.add(deltas.evicted_flows);
-            flow.flow_evicted_packets.add(deltas.evicted_packets);
-            flow.flow_hash_collisions.add(deltas.hash_collisions);
+            let deltas = record_chunk_flows(
+                &mut sinks[d.worker()].lock().expect("flow sink poisoned"),
+                d.view().iter().map(|p| p.data),
+                &reg.queue(d.home()).flow.0,
+            );
             occupancy[d.worker()].store(deltas.occupancy, Ordering::Relaxed);
             let total: u64 = occupancy.iter().map(|o| o.load(Ordering::Relaxed)).sum();
             reg.queue(0).flow.0.flow_table_occupancy.set(total);

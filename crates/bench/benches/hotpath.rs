@@ -1,42 +1,63 @@
-//! Old-vs-new hot path: chunk-at-a-time owned packets against the
-//! batched, allocation-free arena pipeline.
+//! Hot-path instrumentation budgets, plus the engine-level pool,
+//! dispatch, flow and tail-latency entries. Writes `BENCH_hotpath.json`
+//! at the repository root.
 //!
-//! The seed live engine moved every packet through a per-packet
-//! `ArrayQueue` hop, cloned it into a freshly allocated `Vec<Packet>`
-//! per chunk, and handed each chunk to the consumer with one CAS on a
-//! shared `ArrayQueue`. The rebuilt engine writes payloads into a
-//! fixed-cell [`wirecap::arena::ChunkArena`] (the DMA model of §3.1 —
-//! the NIC lands frames directly in chunk cells), hands chunks to the
-//! consumer over an SPSC [`wirecap::spsc::BatchRing`] up to
-//! [`wirecap::spsc::MAX_BATCH`] at a time, and the consumer reads
-//! borrowed slices through `ChunkView` before releasing the slot.
+//! **The replica.** [`Replica::run`] is one single-threaded copy of the
+//! live engine's per-queue data path: capture polls the NIC in batches
+//! of up to 256 packets, writes each frame into a
+//! [`wirecap::arena::ChunkArena`] cell (the DMA model of §3.1), seals
+//! full chunks and publishes the poll batch's chunks with one flush into
+//! a [`wirecap::ClaimQueue`]; the consumer claims up to 64 chunks per
+//! refill, reads borrowed `ChunkView` slices and releases each slot to
+//! the freelist. That mirrors `capture_thread`/`stage`/`flush` and
+//! `LiveConsumer::refill` in `wirecap::live`, on the engine's own
+//! arena and handoff types. The loop is compiled once per stage set
+//! (bare, +telemetry, +latency stamps, +spans, +pcapng encode), so
+//! each variant carries none of the other stages' branches, and
+//! [`PAIRS`] prices each stage against the set it rides on. The
+//! engine-level entries (`consumer_pool`, `single_hot_queue`,
+//! `backend_dispatch`, `flow_tracking`, `latency_slo`) time real code.
 //!
-//! Both pipelines are exercised single-threaded over identical traffic
-//! at M ∈ {1, 4, 16, 64}, and the measured packet rates are written to
-//! `BENCH_hotpath.json` at the repository root.
+//! **Why a replica remains.** The gated deltas are a few percent. On
+//! the real `LiveWireCap` over `shmring` (1 queue, 128 B frames, closed
+//! loop, consumer on the producing thread) the thread handoff's noise
+//! swamps them: span sampling on vs off at M = 64 read a per-pair IQR
+//! of about ±10–20%, which a 3% gate would straddle. The engine also
+//! has no switch for latency metering. The replica stays the gates'
+//! instrument until a quieter estimator exists; the end-to-end
+//! benchmark of the real engine lives in `e2ebench/`.
 //!
 //! Run with `cargo bench -p bench --bench hotpath` (set
 //! `CRITERION_QUICK=1` for a short CI run).
 
+use apps::multi_pkt_handler::record_chunk_flows;
 use bench::latency;
 use bench::scaling;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use crossbeam::queue::ArrayQueue;
 use netproto::{FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{clock, kind, EventTracer, QueueCounters, SpanRecord, SpanRing, SpanStamps};
-use wirecap::arena::{ChunkArena, FreeSlot};
-use wirecap::spsc::{BatchRing, MAX_BATCH};
-use wirecap::{BackendQueue, CaptureBackend, LoopbackBackend, NicSimBackend, NicSimQueue, RxFrame};
+use wirecap::arena::{ChunkArena, FreeSlot, SealedSlot};
+use wirecap::{
+    BackendQueue, CaptureBackend, Claim, ClaimQueue, LoopbackBackend, NicSimBackend, NicSimQueue,
+    RxFrame,
+};
 
-/// Chunks per pool in both pipelines (the paper's R).
+/// Chunks per pool (the paper's R).
 const R: usize = 64;
 /// Payload bytes per packet.
 const FRAME: usize = 128;
+/// Packets per NIC poll batch: the capture thread's `NIC_POP_BATCH`.
+const NIC_POP_BATCH: usize = 256;
+/// Chunks claimed per consumer refill: `LiveConsumer`'s `REFILL_BATCH`.
+const REFILL_BATCH: usize = 64;
+/// 1-in-N spans at the rate a production config would run.
+const SPAN_SAMPLE_N: u64 = 64;
 
 fn traffic(n: usize) -> Vec<Packet> {
     let mut b = PacketBuilder::new();
@@ -53,761 +74,320 @@ fn traffic(n: usize) -> Vec<Packet> {
         .collect()
 }
 
-/// The seed pipeline: per-packet queue hop, owned per-chunk `Vec`s,
-/// chunk-at-a-time consumer handoff. Returns (packets, bytes) consumed.
-fn seed_path(
-    pkts: &[Packet],
-    m: usize,
-    nic: &ArrayQueue<Packet>,
-    chunks: &ArrayQueue<Vec<Packet>>,
-) -> (u64, u64) {
-    let mut consumed = 0u64;
-    let mut bytes = 0u64;
-    let mut current: Vec<Packet> = Vec::with_capacity(m);
-    let drain = |chunks: &ArrayQueue<Vec<Packet>>, consumed: &mut u64, bytes: &mut u64| {
-        while let Some(chunk) = chunks.pop() {
-            for p in &chunk {
-                *consumed += 1;
-                *bytes += p.data.len() as u64;
-            }
-            // The chunk's Vec (and its packet clones) die here — the
-            // per-chunk allocation the seed engine paid.
-            drop(chunk);
-        }
-    };
-    for pkt in pkts {
-        // NIC hop: one push + one pop + one clone per packet.
-        nic.push(pkt.clone())
-            .expect("nic ring drained every packet");
-        let pkt = nic.pop().expect("just pushed");
-        current.push(pkt);
-        if current.len() == m {
-            let full = std::mem::replace(&mut current, Vec::with_capacity(m));
-            if chunks.push(full).is_err() {
-                unreachable!("consumer keeps up in-line");
-            }
-            drain(chunks, &mut consumed, &mut bytes);
-        }
-    }
-    for p in &current {
-        consumed += 1;
-        bytes += p.data.len() as u64;
-    }
-    current.clear();
-    drain(chunks, &mut consumed, &mut bytes);
-    (consumed, bytes)
+/// Stage flags of a [`Replica::run`] variant.
+///
+/// * `TELEMETRY`: the engine's counter writes (relaxed adds batched per
+///   poll batch and per drain), the chunk-fill and batch-size
+///   histograms, and a disabled event tracer (one relaxed load per
+///   sealed chunk, the price of having tracing available).
+/// * `STAMPS`: one clock read per poll batch stamps every chunk sealed
+///   in it (`seal_at`), one lazy read per drain stamps delivery, and
+///   the latency intervals are recorded run-collapsed through
+///   `telemetry::RunRecorder`, as `LiveConsumer::refill` records them.
+/// * `SPANS`: every [`SPAN_SAMPLE_N`]-th sealed chunk carries
+///   [`SpanStamps`]; its delivery completes a [`SpanRecord`], records
+///   the five stage histograms and pushes onto a [`SpanRing`].
+/// * `DISK`: the capdisk writer's encode: every delivered packet is
+///   serialized through an `EpbTemplate` into a cursor-addressed batch
+///   buffer, with one simulated commit per refill (a byte-counter add
+///   standing in for the `write_all`) and one packet-counter add per
+///   drain. The real sink runs this on its writer thread.
+const TELEMETRY: u8 = 1;
+const STAMPS: u8 = 2;
+const SPANS: u8 = 4;
+const DISK: u8 = 8;
+
+/// One compiled stage set of the replica.
+#[derive(Clone, Copy)]
+struct Variant {
+    /// Criterion entry name.
+    name: &'static str,
+    /// `BENCH_hotpath.json` key of the variant's packet rate.
+    pps_key: &'static str,
+    run: fn(&Replica, &[Packet]) -> (u64, u64),
 }
 
-/// The batched arena pipeline: payloads land in fixed cells, sealed
-/// chunks move through an SPSC batch ring, the consumer reads borrowed
-/// views and releases slots. Returns (packets, bytes) consumed.
-fn batched_path(
-    pkts: &[Packet],
-    arena: &ChunkArena,
-    free: &mut Vec<FreeSlot>,
-    ring: &BatchRing<wirecap::arena::SealedSlot>,
-) -> (u64, u64) {
-    let mut consumed = 0u64;
-    let mut bytes = 0u64;
-    let mut staged = Vec::with_capacity(MAX_BATCH);
-    let mut popped = Vec::with_capacity(MAX_BATCH);
-    let drain = |free: &mut Vec<FreeSlot>,
-                 popped: &mut Vec<wirecap::arena::SealedSlot>,
-                 consumed: &mut u64,
-                 bytes: &mut u64| {
-        loop {
-            popped.clear();
-            if ring.pop_batch(popped, MAX_BATCH) == 0 {
-                break;
-            }
-            for seal in popped.drain(..) {
-                for p in arena.view(&seal).iter() {
-                    *consumed += 1;
-                    *bytes += p.data.len() as u64;
-                }
-                free.push(arena.release(seal));
-            }
-        }
-    };
-    let mut current = free.pop().expect("R slots free at start");
-    for pkt in pkts {
-        // DMA model: the frame lands directly in the chunk cell.
-        if !arena.write_packet(&mut current, pkt.ts_ns, pkt.wire_len, &pkt.data) {
-            unreachable!("sealed before full");
-        }
-        if current.filled() == arena.m() {
-            staged.push(arena.seal(current));
-            if staged.len() == MAX_BATCH {
-                while !staged.is_empty() {
-                    if ring.push_batch(&mut staged) == 0 {
-                        drain(free, &mut popped, &mut consumed, &mut bytes);
-                    }
-                }
-            }
-            if free.is_empty() {
-                drain(free, &mut popped, &mut consumed, &mut bytes);
-            }
-            current = free.pop().expect("drain refilled the freelist");
-        }
-    }
-    // Trailing partial chunk: count in place and keep the slot free.
-    let view_len = current.filled();
-    if view_len > 0 {
-        let seal = arena.seal(current);
-        for p in arena.view(&seal).iter() {
-            consumed += 1;
-            bytes += p.data.len() as u64;
-        }
-        free.push(arena.release(seal));
-    } else {
-        free.push(current);
-    }
-    while !staged.is_empty() {
-        if ring.push_batch(&mut staged) == 0 {
-            drain(free, &mut popped, &mut consumed, &mut bytes);
-        }
-    }
-    drain(free, &mut popped, &mut consumed, &mut bytes);
-    (consumed, bytes)
+const BARE: Variant = Variant {
+    name: "batched_arena",
+    pps_key: "batched_pps",
+    run: Replica::run::<0>,
+};
+const COUNTED: Variant = Variant {
+    name: "batched_arena_telemetry",
+    pps_key: "telemetry_pps",
+    run: Replica::run::<TELEMETRY>,
+};
+const STAMPED: Variant = Variant {
+    name: "latency_stamping",
+    pps_key: "latency_stamping_pps",
+    run: Replica::run::<{ TELEMETRY | STAMPS }>,
+};
+const SPANNED: Variant = Variant {
+    name: "span_tracing",
+    pps_key: "span_tracing_pps",
+    run: Replica::run::<{ TELEMETRY | STAMPS | SPANS }>,
+};
+const ENCODED: Variant = Variant {
+    name: "disk_writer_encode",
+    pps_key: "disk_writer_pps",
+    run: Replica::run::<{ TELEMETRY | STAMPS | DISK }>,
+};
+
+/// The priced stages: (baseline, instrumented, overhead key). Each
+/// instrumented variant adds one stage to its baseline. `check.sh`
+/// gates `latency_overhead` at ≤ 5% at every M,
+/// `span_tracing_overhead` at ≤ 3% at the largest M, and
+/// `disk_writer_overhead` at ≤ 30% at m = 1 and ≤ 50% at the largest M
+/// (the large-M encode streams every payload byte while the baseline
+/// never reads one; EXPERIMENTS.md, known deviations).
+/// `telemetry_overhead` is recorded, not gated.
+const PAIRS: [(Variant, Variant, &str); 4] = [
+    (BARE, COUNTED, "telemetry_overhead"),
+    (COUNTED, STAMPED, "latency_overhead"),
+    (STAMPED, SPANNED, "span_tracing_overhead"),
+    (STAMPED, ENCODED, "disk_writer_overhead"),
+];
+
+/// The replica's fixtures, reused across rounds as the engine reuses
+/// its pool.
+struct Replica {
+    arena: Arc<ChunkArena>,
+    claims: ClaimQueue<SealedSlot>,
+    tel: QueueCounters,
+    tracer: EventTracer,
+    spans: SpanRing,
+    epb: capdisk::EpbTemplate,
+    scratch: RefCell<Scratch>,
 }
 
-/// The batched pipeline with the live engine's telemetry writes in the
-/// loop: relaxed counter adds batched per chunk, the three histograms,
-/// and a disabled event tracer (one relaxed load per chunk — the price
-/// of having tracing available). Measured against [`batched_path`] to
-/// prove the counters are free when no snapshot is taken: the
-/// `telemetry_overhead` entry in `BENCH_hotpath.json`.
-fn telemetry_path(
-    pkts: &[Packet],
-    arena: &ChunkArena,
-    free: &mut Vec<FreeSlot>,
-    ring: &BatchRing<wirecap::arena::SealedSlot>,
-    tel: &QueueCounters,
-    tracer: &EventTracer,
-) -> (u64, u64) {
-    let mut consumed = 0u64;
-    let mut bytes = 0u64;
-    let mut staged = Vec::with_capacity(MAX_BATCH);
-    let mut popped = Vec::with_capacity(MAX_BATCH);
-    // Consumer-side accounting is tallied locally and flushed once per
-    // drain call, exactly as `LiveConsumer` flushes per inbox refill.
-    let drain = |free: &mut Vec<FreeSlot>,
-                 popped: &mut Vec<wirecap::arena::SealedSlot>,
-                 consumed: &mut u64,
-                 bytes: &mut u64| {
-        let mut delivered = 0u64;
-        let mut recycled = 0u64;
-        loop {
-            popped.clear();
-            if ring.pop_batch(popped, MAX_BATCH) == 0 {
-                break;
-            }
-            for seal in popped.drain(..) {
-                for p in arena.view(&seal).iter() {
-                    delivered += 1;
-                    *bytes += p.data.len() as u64;
-                }
-                recycled += 1;
-                free.push(arena.release(seal));
-            }
-        }
-        *consumed += delivered;
-        if recycled > 0 {
-            tel.app.delivered_packets.add(delivered);
-            tel.app.recycled_chunks.add(recycled);
-        }
-    };
-    // Captured-packet adds are batched exactly as the live engine
-    // batches them: one store per NIC pop batch, not one per packet —
-    // the inner per-packet loop is byte-identical to `batched_path`.
-    const NIC_POP_BATCH: usize = 256;
-    let mut current = free.pop().expect("R slots free at start");
-    for batch in pkts.chunks(NIC_POP_BATCH) {
-        for pkt in batch {
-            if !arena.write_packet(&mut current, pkt.ts_ns, pkt.wire_len, &pkt.data) {
-                unreachable!("sealed before full");
-            }
-            if current.filled() == arena.m() {
-                let fill = current.filled() as u64;
-                tel.cap.sealed_chunks.inc_local();
-                tel.cap.chunk_fill.record(fill);
-                if tracer.is_enabled() {
-                    tracer.record(0, 0, kind::CAPTURE, 0, 0, fill);
-                }
-                staged.push(arena.seal(current));
-                if staged.len() == MAX_BATCH {
-                    while !staged.is_empty() {
-                        let pushed = ring.push_batch(&mut staged);
-                        if pushed == 0 {
-                            drain(free, &mut popped, &mut consumed, &mut bytes);
-                        } else {
-                            tel.cap.batch_size.record(pushed as u64);
-                        }
-                    }
-                }
-                if free.is_empty() {
-                    drain(free, &mut popped, &mut consumed, &mut bytes);
-                }
-                current = free.pop().expect("drain refilled the freelist");
-            }
-        }
-        tel.cap.captured_packets.add_local(batch.len() as u64);
-    }
-    let view_len = current.filled();
-    if view_len > 0 {
-        tel.cap.sealed_chunks.inc_local();
-        tel.cap.partial_chunks.inc_local();
-        tel.cap.chunk_fill.record(view_len as u64);
-        let seal = arena.seal(current);
-        let mut delivered = 0u64;
-        for p in arena.view(&seal).iter() {
-            delivered += 1;
-            bytes += p.data.len() as u64;
-        }
-        consumed += delivered;
-        tel.app.delivered_packets.add(delivered);
-        tel.app.recycled_chunks.add(1);
-        free.push(arena.release(seal));
-    } else {
-        free.push(current);
-    }
-    while !staged.is_empty() {
-        let pushed = ring.push_batch(&mut staged);
-        if pushed == 0 {
-            drain(free, &mut popped, &mut consumed, &mut bytes);
-        } else {
-            tel.cap.batch_size.record(pushed as u64);
-        }
-    }
-    drain(free, &mut popped, &mut consumed, &mut bytes);
-    (consumed, bytes)
+/// Buffers one run borrows, emptied again by its end.
+struct Scratch {
+    free: Vec<FreeSlot>,
+    /// Chunks sealed in the current poll batch, published by `flush`.
+    staged: Vec<SealedSlot>,
+    /// Chunks claimed by the current refill.
+    inbox: Vec<SealedSlot>,
+    /// Sampled chunks in flight, keyed by seal sequence. The claim
+    /// queue is FIFO and has one consumer here, so matching is
+    /// front-of-queue.
+    pending: VecDeque<(u64, SpanStamps)>,
+    /// pcapng batch buffer, reset at each commit.
+    enc: Vec<u8>,
 }
 
-/// The telemetry pipeline plus the PR-3 latency instrumentation: one
-/// monotonic-clock read per NIC poll batch stamping every chunk sealed
-/// within it (`seal_at`, exactly as the capture thread amortizes its
-/// stamp), one lazy clock read per consumer drain call (the delivery
-/// stamp, shared by every chunk the drain recycles, as
-/// `LiveConsumer::refill` stamps its inbox), and run-collapsed histogram recording — the
-/// shared stamps make the intervals arrive in runs, so recording is a
-/// compare per chunk plus one `record_repeat` flush per run
-/// (`telemetry::RunRecorder`, the engine's refill recording exactly).
-/// Measured against [`telemetry_path`] to bound what capture-to-
-/// delivery latency metering costs on top of the counters: the
-/// `latency_overhead` entry in `BENCH_hotpath.json`.
-fn stamped_path(
-    pkts: &[Packet],
-    arena: &ChunkArena,
-    free: &mut Vec<FreeSlot>,
-    ring: &BatchRing<wirecap::arena::SealedSlot>,
-    tel: &QueueCounters,
-    tracer: &EventTracer,
-) -> (u64, u64) {
-    let mut consumed = 0u64;
-    let mut bytes = 0u64;
-    let mut staged = Vec::with_capacity(MAX_BATCH);
-    let mut popped = Vec::with_capacity(MAX_BATCH);
-    let drain = |free: &mut Vec<FreeSlot>,
-                 popped: &mut Vec<wirecap::arena::SealedSlot>,
-                 consumed: &mut u64,
-                 bytes: &mut u64| {
-        let mut delivered = 0u64;
-        let mut recycled = 0u64;
-        // Delivery stamp: one lazy clock read per drain call, shared
-        // by every chunk it recycles — the engine's refill-batch
-        // amortization (`LiveConsumer::refill` reads the clock once
-        // per refill).
-        let mut delivered_ns = 0u64;
-        // Latency intervals arrive in runs (one delivery stamp per
-        // drain, poll-batch-shared seal stamps): a compare per chunk,
-        // one histogram flush per run — `LiveConsumer::refill`'s
-        // recording, exactly.
-        let mut lat = telemetry::RunRecorder::new(&tel.app.latency_ns);
-        loop {
-            popped.clear();
-            if ring.pop_batch(popped, MAX_BATCH) == 0 {
-                break;
-            }
-            if delivered_ns == 0 {
-                delivered_ns = clock::mono_ns();
-            }
-            for seal in popped.drain(..) {
-                for p in arena.view(&seal).iter() {
-                    delivered += 1;
-                    *bytes += p.data.len() as u64;
-                }
-                let sealed_ns = seal.sealed_ns();
-                if sealed_ns > 0 {
-                    lat.push(delivered_ns.saturating_sub(sealed_ns));
-                }
-                recycled += 1;
-                free.push(arena.release(seal));
-            }
-        }
-        lat.finish();
-        *consumed += delivered;
-        if recycled > 0 {
-            tel.app.delivered_packets.add(delivered);
-            tel.app.recycled_chunks.add(recycled);
-        }
-    };
-    const NIC_POP_BATCH: usize = 256;
-    let mut current = free.pop().expect("R slots free at start");
-    for batch in pkts.chunks(NIC_POP_BATCH) {
-        // Seal stamp: one clock read per poll batch, shared by every
-        // chunk sealed in it.
-        let now_ns = clock::mono_ns();
-        for pkt in batch {
-            if !arena.write_packet(&mut current, pkt.ts_ns, pkt.wire_len, &pkt.data) {
-                unreachable!("sealed before full");
-            }
-            if current.filled() == arena.m() {
-                let fill = current.filled() as u64;
-                tel.cap.sealed_chunks.inc_local();
-                tel.cap.chunk_fill.record(fill);
-                if tracer.is_enabled() {
-                    tracer.record(0, 0, kind::CAPTURE, 0, 0, fill);
-                }
-                staged.push(arena.seal_at(current, now_ns));
-                if staged.len() == MAX_BATCH {
-                    while !staged.is_empty() {
-                        let pushed = ring.push_batch(&mut staged);
-                        if pushed == 0 {
-                            drain(free, &mut popped, &mut consumed, &mut bytes);
-                        } else {
-                            tel.cap.batch_size.record(pushed as u64);
-                        }
-                    }
-                }
-                if free.is_empty() {
-                    drain(free, &mut popped, &mut consumed, &mut bytes);
-                }
-                current = free.pop().expect("drain refilled the freelist");
-            }
-        }
-        tel.cap.captured_packets.add_local(batch.len() as u64);
-    }
-    let view_len = current.filled();
-    if view_len > 0 {
-        tel.cap.sealed_chunks.inc_local();
-        tel.cap.partial_chunks.inc_local();
-        tel.cap.chunk_fill.record(view_len as u64);
-        let seal = arena.seal_at(current, clock::mono_ns());
-        let mut delivered = 0u64;
-        for p in arena.view(&seal).iter() {
-            delivered += 1;
-            bytes += p.data.len() as u64;
-        }
-        let sealed_ns = seal.sealed_ns();
-        if sealed_ns > 0 {
-            tel.app
-                .latency_ns
-                .record(clock::mono_ns().saturating_sub(sealed_ns));
-        }
-        consumed += delivered;
-        tel.app.delivered_packets.add(delivered);
-        tel.app.recycled_chunks.add(1);
-        free.push(arena.release(seal));
-    } else {
-        free.push(current);
-    }
-    while !staged.is_empty() {
-        let pushed = ring.push_batch(&mut staged);
-        if pushed == 0 {
-            drain(free, &mut popped, &mut consumed, &mut bytes);
-        } else {
-            tel.cap.batch_size.record(pushed as u64);
-        }
-    }
-    drain(free, &mut popped, &mut consumed, &mut bytes);
-    (consumed, bytes)
+/// Per-run progress counters.
+#[derive(Default)]
+struct Progress {
+    /// Packets and bytes delivered.
+    packets: u64,
+    bytes: u64,
+    /// Chunks sealed and delivered: the sequence numbers spans match on.
+    sealed: u64,
+    delivered: u64,
 }
 
-/// 1-in-N spans at the rate a production config would run.
-const SPAN_SAMPLE_N: u64 = 64;
-
-/// The stamped pipeline plus 1-in-[`SPAN_SAMPLE_N`] span tracing:
-/// every N-th sealed chunk carries a [`SpanStamps`] through the
-/// pipeline (seal + publish stamps shared with the batch clock read),
-/// and its delivery completes a [`SpanRecord`] — per-stage computation,
-/// five `Log2Histogram` records, and one mutex-guarded [`SpanRing`]
-/// push. Measured against [`stamped_path`] to bound what enabling
-/// `span_sample_n` costs on top of latency metering: the
-/// `span_tracing` entry in `BENCH_hotpath.json`, gated at ≤ 3% by
-/// `scripts/check.sh`.
-fn spans_path(
-    pkts: &[Packet],
-    arena: &ChunkArena,
-    free: &mut Vec<FreeSlot>,
-    ring: &BatchRing<wirecap::arena::SealedSlot>,
-    tel: &QueueCounters,
-    tracer: &EventTracer,
-    spans: &SpanRing,
-) -> (u64, u64) {
-    let mut consumed = 0u64;
-    let mut bytes = 0u64;
-    let mut staged = Vec::with_capacity(MAX_BATCH);
-    let mut popped = Vec::with_capacity(MAX_BATCH);
-    // Sampled chunks in flight, keyed by seal sequence. The SPSC ring
-    // preserves order single-threaded, so matching is front-of-queue.
-    let mut pending: VecDeque<(u64, SpanStamps)> = VecDeque::new();
-    let mut seal_seq = 0u64;
-    let mut deliver_seq = 0u64;
-    let drain = |free: &mut Vec<FreeSlot>,
-                 popped: &mut Vec<wirecap::arena::SealedSlot>,
-                 consumed: &mut u64,
-                 bytes: &mut u64,
-                 pending: &mut VecDeque<(u64, SpanStamps)>,
-                 deliver_seq: &mut u64| {
-        let mut delivered = 0u64;
-        let mut recycled = 0u64;
-        // One lazy delivery stamp per drain call (see `stamped_path`);
-        // span stamps reuse it, as `LiveConsumer::refill` reuses its
-        // refill stamp.
-        let mut delivered_ns = 0u64;
-        // Latency intervals arrive in runs (one delivery stamp per
-        // drain, poll-batch-shared seal stamps): a compare per chunk,
-        // one histogram flush per run — `LiveConsumer::refill`'s
-        // recording, exactly.
-        let mut lat = telemetry::RunRecorder::new(&tel.app.latency_ns);
-        loop {
-            popped.clear();
-            if ring.pop_batch(popped, MAX_BATCH) == 0 {
-                break;
-            }
-            if delivered_ns == 0 {
-                delivered_ns = clock::mono_ns();
-            }
-            for seal in popped.drain(..) {
-                for p in arena.view(&seal).iter() {
-                    delivered += 1;
-                    *bytes += p.data.len() as u64;
-                }
-                let sealed_ns = seal.sealed_ns();
-                if sealed_ns > 0 {
-                    lat.push(delivered_ns.saturating_sub(sealed_ns));
-                }
-                if pending.front().is_some_and(|(s, _)| *s == *deliver_seq) {
-                    let (s, mut st) = pending.pop_front().expect("front checked");
-                    // Per-queue consumer convention: acquisition and
-                    // delivery collapse onto the batch delivery stamp.
-                    st.acquire_started_ns = delivered_ns;
-                    st.acquired_ns = delivered_ns;
-                    st.deliver_start_ns = delivered_ns;
-                    st.deliver_end_ns = delivered_ns;
-                    let rec = SpanRecord::from_stamps(
-                        0,
-                        s,
-                        arena.m() as u32,
-                        None,
-                        false,
-                        &st,
-                        delivered_ns,
-                    );
-                    tel.app.stage_backend_ns.record(rec.stage_backend_ns);
-                    tel.app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
-                    tel.app.stage_claim_ns.record(rec.stage_claim_ns);
-                    tel.app.stage_reorder_ns.record(rec.stage_reorder_ns);
-                    tel.app.stage_deliver_ns.record(rec.stage_deliver_ns);
-                    spans.push(rec);
-                }
-                *deliver_seq += 1;
-                recycled += 1;
-                free.push(arena.release(seal));
-            }
-        }
-        lat.finish();
-        *consumed += delivered;
-        if recycled > 0 {
-            tel.app.delivered_packets.add(delivered);
-            tel.app.recycled_chunks.add(recycled);
-        }
-    };
-    const NIC_POP_BATCH: usize = 256;
-    let mut current = free.pop().expect("R slots free at start");
-    for batch in pkts.chunks(NIC_POP_BATCH) {
-        let now_ns = clock::mono_ns();
-        for pkt in batch {
-            if !arena.write_packet(&mut current, pkt.ts_ns, pkt.wire_len, &pkt.data) {
-                unreachable!("sealed before full");
-            }
-            if current.filled() == arena.m() {
-                let fill = current.filled() as u64;
-                tel.cap.sealed_chunks.inc_local();
-                tel.cap.chunk_fill.record(fill);
-                if tracer.is_enabled() {
-                    tracer.record(0, 0, kind::CAPTURE, 0, 0, fill);
-                }
-                if seal_seq.is_multiple_of(SPAN_SAMPLE_N) {
-                    pending.push_back((
-                        seal_seq,
-                        SpanStamps {
-                            sealed_ns: now_ns,
-                            published_ns: now_ns,
-                            ..Default::default()
-                        },
-                    ));
-                }
-                seal_seq += 1;
-                staged.push(arena.seal_at(current, now_ns));
-                if staged.len() == MAX_BATCH {
-                    while !staged.is_empty() {
-                        let pushed = ring.push_batch(&mut staged);
-                        if pushed == 0 {
-                            drain(
-                                free,
-                                &mut popped,
-                                &mut consumed,
-                                &mut bytes,
-                                &mut pending,
-                                &mut deliver_seq,
-                            );
-                        } else {
-                            tel.cap.batch_size.record(pushed as u64);
-                        }
-                    }
-                }
-                if free.is_empty() {
-                    drain(
-                        free,
-                        &mut popped,
-                        &mut consumed,
-                        &mut bytes,
-                        &mut pending,
-                        &mut deliver_seq,
-                    );
-                }
-                current = free.pop().expect("drain refilled the freelist");
-            }
-        }
-        tel.cap.captured_packets.add_local(batch.len() as u64);
-    }
-    let view_len = current.filled();
-    if view_len > 0 {
-        tel.cap.sealed_chunks.inc_local();
-        tel.cap.partial_chunks.inc_local();
-        tel.cap.chunk_fill.record(view_len as u64);
-        let seal = arena.seal_at(current, clock::mono_ns());
-        let mut delivered = 0u64;
-        for p in arena.view(&seal).iter() {
-            delivered += 1;
-            bytes += p.data.len() as u64;
-        }
-        let sealed_ns = seal.sealed_ns();
-        if sealed_ns > 0 {
-            tel.app
-                .latency_ns
-                .record(clock::mono_ns().saturating_sub(sealed_ns));
-        }
-        consumed += delivered;
-        tel.app.delivered_packets.add(delivered);
-        tel.app.recycled_chunks.add(1);
-        free.push(arena.release(seal));
-    } else {
-        free.push(current);
-    }
-    while !staged.is_empty() {
-        let pushed = ring.push_batch(&mut staged);
-        if pushed == 0 {
-            drain(
+impl Replica {
+    fn new(m: usize) -> Self {
+        let (arena, free) = ChunkArena::with_slots(R, m, FRAME);
+        Replica {
+            arena,
+            claims: ClaimQueue::new(R, 1),
+            tel: QueueCounters::new(),
+            tracer: EventTracer::new(1024),
+            spans: SpanRing::with_capacity(1024),
+            epb: capdisk::EpbTemplate::new(65_535),
+            scratch: RefCell::new(Scratch {
                 free,
-                &mut popped,
-                &mut consumed,
-                &mut bytes,
-                &mut pending,
-                &mut deliver_seq,
-            );
-        } else {
-            tel.cap.batch_size.record(pushed as u64);
+                staged: Vec::with_capacity(R),
+                inbox: Vec::with_capacity(REFILL_BATCH),
+                pending: VecDeque::new(),
+                enc: vec![0u8; 64 << 10],
+            }),
         }
     }
-    drain(
-        free,
-        &mut popped,
-        &mut consumed,
-        &mut bytes,
-        &mut pending,
-        &mut deliver_seq,
-    );
-    (consumed, bytes)
-}
 
-/// The stamped pipeline plus the capture-to-disk writer's encode work:
-/// every delivered packet is serialized as a pcapng Enhanced Packet
-/// Block into a reused batch buffer, with one simulated commit (and one
-/// batched disk-counter add) per pop batch — the `capdisk` writer
-/// thread's `push_packet`/`commit_batch` split, minus the actual
-/// `write(2)`, so the number isolates the CPU cost of the encode copy.
-/// In the real sink this work runs on a dedicated writer thread, not
-/// the capture thread; the `disk_writer` entry in `BENCH_hotpath.json`
-/// bounds how much headroom that thread needs. The encode mirrors the
-/// `RotatingWriter` discipline exactly: a per-writer `EpbTemplate`
-/// encoding into cursor-addressed batch storage, so the measured cost
-/// is header patching plus the unavoidable payload copy (check.sh
-/// gates the overhead at 30% at m=1 and 50% at the largest m — see
-/// EXPERIMENTS.md, known deviations, for why the large-m ratio is
-/// memory-traffic-bound).
-fn disk_writer_path(
-    pkts: &[Packet],
-    arena: &ChunkArena,
-    free: &mut Vec<FreeSlot>,
-    ring: &BatchRing<wirecap::arena::SealedSlot>,
-    tel: &QueueCounters,
-    tracer: &EventTracer,
-    enc: &mut Vec<u8>,
-) -> (u64, u64) {
-    const SNAPLEN: u32 = 65_535;
-    // One precomputed EPB header per writer, patched per packet — the
-    // same template the real `RotatingWriter` holds.
-    let tmpl = capdisk::EpbTemplate::new(SNAPLEN);
-    let mut consumed = 0u64;
-    let mut bytes = 0u64;
-    let mut staged = Vec::with_capacity(MAX_BATCH);
-    let mut popped = Vec::with_capacity(MAX_BATCH);
-    let tmpl_ref = &tmpl;
-    let drain = move |free: &mut Vec<FreeSlot>,
-                      popped: &mut Vec<wirecap::arena::SealedSlot>,
-                      enc: &mut Vec<u8>,
-                      consumed: &mut u64,
-                      bytes: &mut u64| {
-        let mut delivered = 0u64;
-        let mut recycled = 0u64;
-        // One lazy delivery stamp per drain call (see `stamped_path`).
+    /// Captures and delivers `pkts` with the stages in `S`. Returns
+    /// (packets, bytes) delivered.
+    fn run<const S: u8>(&self, pkts: &[Packet]) -> (u64, u64) {
+        let s = &mut *self.scratch.borrow_mut();
+        let m = self.arena.m();
+        let mut p = Progress::default();
+        let mut current: Option<FreeSlot> = None;
+        let mut rest = pkts;
+        while !rest.is_empty() {
+            if current.is_none() && s.free.is_empty() {
+                self.drain::<S>(s, &mut p);
+            }
+            // Backpressure as in `capture_thread`: never poll more
+            // packets than the chunks on hand can absorb.
+            let room = current.as_ref().map_or(0, |c| m - c.filled()) + s.free.len() * m;
+            let (batch, tail) = rest.split_at(rest.len().min(NIC_POP_BATCH).min(room));
+            rest = tail;
+            let now_ns = if S & STAMPS != 0 { clock::mono_ns() } else { 0 };
+            for pkt in batch {
+                let slot =
+                    current.get_or_insert_with(|| s.free.pop().expect("room counts free slots"));
+                if !self
+                    .arena
+                    .write_packet(slot, pkt.ts_ns, pkt.wire_len, &pkt.data)
+                {
+                    unreachable!("sealed before full");
+                }
+                if slot.filled() == m {
+                    let full = current.take().expect("slot just filled");
+                    self.stage::<S>(s, &mut p, full, now_ns);
+                }
+            }
+            if S & TELEMETRY != 0 {
+                self.tel.cap.captured_packets.add_local(batch.len() as u64);
+            }
+            self.flush::<S>(s);
+        }
+        // The trailing partial chunk goes through the same handoff, as
+        // the engine's timeout and close paths send it.
+        if let Some(last) = current.take() {
+            if S & TELEMETRY != 0 {
+                self.tel.cap.partial_chunks.inc_local();
+            }
+            let now_ns = if S & STAMPS != 0 { clock::mono_ns() } else { 0 };
+            self.stage::<S>(s, &mut p, last, now_ns);
+            self.flush::<S>(s);
+        }
+        self.drain::<S>(s, &mut p);
+        (p.packets, p.bytes)
+    }
+
+    /// Seals a chunk and stages it for the poll batch's flush.
+    fn stage<const S: u8>(&self, s: &mut Scratch, p: &mut Progress, slot: FreeSlot, now_ns: u64) {
+        if S & TELEMETRY != 0 {
+            let fill = slot.filled() as u64;
+            self.tel.cap.sealed_chunks.inc_local();
+            self.tel.cap.chunk_fill.record(fill);
+            if self.tracer.is_enabled() {
+                self.tracer.record(0, 0, kind::CAPTURE, 0, 0, fill);
+            }
+        }
+        if S & SPANS != 0 {
+            if p.sealed.is_multiple_of(SPAN_SAMPLE_N) {
+                let stamps = SpanStamps {
+                    sealed_ns: now_ns,
+                    published_ns: now_ns,
+                    ..Default::default()
+                };
+                s.pending.push_back((p.sealed, stamps));
+            }
+            p.sealed += 1;
+        }
+        s.staged.push(if S & STAMPS != 0 {
+            self.arena.seal_at(slot, now_ns)
+        } else {
+            self.arena.seal(slot)
+        });
+    }
+
+    /// Publishes the staged chunks: one flush per poll batch.
+    fn flush<const S: u8>(&self, s: &mut Scratch) {
+        if s.staged.is_empty() {
+            return;
+        }
+        if S & TELEMETRY != 0 {
+            self.tel.cap.batch_size.record(s.staged.len() as u64);
+        }
+        for seal in s.staged.drain(..) {
+            if self.claims.push(seal).is_err() {
+                unreachable!("the claim queue holds all R chunks");
+            }
+        }
+    }
+
+    /// The consumer: refills of up to [`REFILL_BATCH`] claims until the
+    /// claim queue is empty, every chunk read and released.
+    fn drain<const S: u8>(&self, s: &mut Scratch, p: &mut Progress) {
+        let app = &self.tel.app;
+        let mut packets = 0u64;
+        let mut chunks = 0u64;
+        // One lazy delivery stamp per drain, shared by every chunk.
         let mut delivered_ns = 0u64;
-        // Latency intervals arrive in runs (one delivery stamp per
-        // drain, poll-batch-shared seal stamps): a compare per chunk,
-        // one histogram flush per run — `LiveConsumer::refill`'s
-        // recording, exactly.
-        let mut lat = telemetry::RunRecorder::new(&tel.app.latency_ns);
+        let mut lat = telemetry::RunRecorder::new(&app.latency_ns);
         loop {
-            popped.clear();
-            if ring.pop_batch(popped, MAX_BATCH) == 0 {
+            while s.inbox.len() < REFILL_BATCH {
+                match self.claims.try_claim() {
+                    Claim::Claimed(seal) => s.inbox.push(seal),
+                    Claim::Contended => std::hint::spin_loop(),
+                    Claim::Empty => break,
+                }
+            }
+            if s.inbox.is_empty() {
                 break;
             }
-            if delivered_ns == 0 {
+            if S & STAMPS != 0 && delivered_ns == 0 {
                 delivered_ns = clock::mono_ns();
             }
-            // Cursor into the batch buffer, reset at each commit —
-            // the `RotatingWriter` encode discipline: pre-sized
-            // zeroed storage, pure slice stores per packet.
             let mut cursor = 0usize;
-            for seal in popped.drain(..) {
-                for p in arena.view(&seal).iter() {
-                    delivered += 1;
-                    *bytes += p.data.len() as u64;
-                    let len = tmpl_ref.encoded_len(p.data.len());
-                    if cursor + len > enc.len() {
-                        enc.resize((enc.len() * 2).max(cursor + len).max(1 << 16), 0);
+            for seal in s.inbox.drain(..) {
+                for pkt in self.arena.view(&seal).iter() {
+                    packets += 1;
+                    p.bytes += pkt.data.len() as u64;
+                    if S & DISK != 0 {
+                        let len = self.epb.encoded_len(pkt.data.len());
+                        if cursor + len > s.enc.len() {
+                            s.enc.resize((s.enc.len() * 2).max(cursor + len), 0);
+                        }
+                        self.epb.encode_into(
+                            &mut s.enc[cursor..cursor + len],
+                            pkt.ts_ns,
+                            pkt.wire_len,
+                            pkt.data,
+                        );
+                        cursor += len;
                     }
-                    tmpl_ref.encode_into(
-                        &mut enc[cursor..cursor + len],
-                        p.ts_ns,
-                        p.wire_len,
-                        p.data,
-                    );
-                    cursor += len;
                 }
-                let sealed_ns = seal.sealed_ns();
-                if sealed_ns > 0 {
-                    lat.push(delivered_ns.saturating_sub(sealed_ns));
+                if S & STAMPS != 0 && seal.sealed_ns() > 0 {
+                    lat.push(delivered_ns.saturating_sub(seal.sealed_ns()));
                 }
-                recycled += 1;
-                free.push(arena.release(seal));
+                if S & SPANS != 0 {
+                    if s.pending
+                        .front()
+                        .is_some_and(|(seq, _)| *seq == p.delivered)
+                    {
+                        let (seq, mut st) = s.pending.pop_front().expect("front checked");
+                        // Per-queue consumer convention: acquisition
+                        // and delivery collapse onto the refill stamp.
+                        st.acquire_started_ns = delivered_ns;
+                        st.acquired_ns = delivered_ns;
+                        st.deliver_start_ns = delivered_ns;
+                        st.deliver_end_ns = delivered_ns;
+                        let m = self.arena.m() as u32;
+                        let rec =
+                            SpanRecord::from_stamps(0, seq, m, None, false, &st, delivered_ns);
+                        app.stage_backend_ns.record(rec.stage_backend_ns);
+                        app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
+                        app.stage_claim_ns.record(rec.stage_claim_ns);
+                        app.stage_reorder_ns.record(rec.stage_reorder_ns);
+                        app.stage_deliver_ns.record(rec.stage_deliver_ns);
+                        self.spans.push(rec);
+                    }
+                    p.delivered += 1;
+                }
+                chunks += 1;
+                s.free.push(self.arena.release(seal));
             }
-            // Simulated commit: one batched counter add per pop
-            // batch, standing in for the single `write_all` the real
-            // writer issues here.
-            tel.disk.disk_written_bytes.add(cursor as u64);
-            black_box(&enc[..cursor]);
+            if S & DISK != 0 {
+                self.tel.disk.disk_written_bytes.add(cursor as u64);
+                black_box(&s.enc[..cursor]);
+            }
         }
         lat.finish();
-        *consumed += delivered;
-        if recycled > 0 {
-            tel.app.delivered_packets.add(delivered);
-            tel.app.recycled_chunks.add(recycled);
-            tel.disk.disk_written_packets.add(delivered);
-        }
-    };
-    const NIC_POP_BATCH: usize = 256;
-    let mut current = free.pop().expect("R slots free at start");
-    for batch in pkts.chunks(NIC_POP_BATCH) {
-        let now_ns = clock::mono_ns();
-        for pkt in batch {
-            if !arena.write_packet(&mut current, pkt.ts_ns, pkt.wire_len, &pkt.data) {
-                unreachable!("sealed before full");
-            }
-            if current.filled() == arena.m() {
-                let fill = current.filled() as u64;
-                tel.cap.sealed_chunks.inc_local();
-                tel.cap.chunk_fill.record(fill);
-                if tracer.is_enabled() {
-                    tracer.record(0, 0, kind::CAPTURE, 0, 0, fill);
-                }
-                staged.push(arena.seal_at(current, now_ns));
-                if staged.len() == MAX_BATCH {
-                    while !staged.is_empty() {
-                        let pushed = ring.push_batch(&mut staged);
-                        if pushed == 0 {
-                            drain(free, &mut popped, enc, &mut consumed, &mut bytes);
-                        } else {
-                            tel.cap.batch_size.record(pushed as u64);
-                        }
-                    }
-                }
-                if free.is_empty() {
-                    drain(free, &mut popped, enc, &mut consumed, &mut bytes);
-                }
-                current = free.pop().expect("drain refilled the freelist");
+        p.packets += packets;
+        if S & TELEMETRY != 0 && chunks > 0 {
+            app.delivered_packets.add(packets);
+            app.recycled_chunks.add(chunks);
+            if S & DISK != 0 {
+                self.tel.disk.disk_written_packets.add(packets);
             }
         }
-        tel.cap.captured_packets.add_local(batch.len() as u64);
     }
-    let view_len = current.filled();
-    if view_len > 0 {
-        tel.cap.sealed_chunks.inc_local();
-        tel.cap.partial_chunks.inc_local();
-        tel.cap.chunk_fill.record(view_len as u64);
-        let seal = arena.seal_at(current, clock::mono_ns());
-        let mut delivered = 0u64;
-        let mut cursor = 0usize;
-        for p in arena.view(&seal).iter() {
-            delivered += 1;
-            bytes += p.data.len() as u64;
-            let len = tmpl.encoded_len(p.data.len());
-            if cursor + len > enc.len() {
-                enc.resize((enc.len() * 2).max(cursor + len).max(1 << 16), 0);
-            }
-            tmpl.encode_into(&mut enc[cursor..cursor + len], p.ts_ns, p.wire_len, p.data);
-            cursor += len;
-        }
-        let sealed_ns = seal.sealed_ns();
-        if sealed_ns > 0 {
-            tel.app
-                .latency_ns
-                .record(clock::mono_ns().saturating_sub(sealed_ns));
-        }
-        tel.disk.disk_written_bytes.add(cursor as u64);
-        black_box(&enc[..cursor]);
-        consumed += delivered;
-        tel.app.delivered_packets.add(delivered);
-        tel.app.recycled_chunks.add(1);
-        tel.disk.disk_written_packets.add(delivered);
-        free.push(arena.release(seal));
-    } else {
-        free.push(current);
-    }
-    while !staged.is_empty() {
-        let pushed = ring.push_batch(&mut staged);
-        if pushed == 0 {
-            drain(free, &mut popped, enc, &mut consumed, &mut bytes);
-        } else {
-            tel.cap.batch_size.record(pushed as u64);
-        }
-    }
-    drain(free, &mut popped, enc, &mut consumed, &mut bytes);
-    (consumed, bytes)
 }
-
 /// Packets moved per NIC hop in the dispatch benchmark — the engine's
 /// `NIC_POP_BATCH`, so the vtable cost is amortized exactly as the
 /// capture thread amortizes it.
@@ -960,10 +540,12 @@ fn filter_only_path(pkts: &[Packet], handler: &mut apps::PktHandler) -> (u64, u6
     (consumed, bytes)
 }
 
-/// The same filter pass plus the full per-chunk flow-analytics stage:
-/// two-pass batched `record_frames` into a pre-warmed million-entry
-/// table, top-K offers, and the per-chunk telemetry delta flush.
-/// Measured against [`filter_only_path`]; `scripts/check.sh` gates
+/// The same filter pass plus the pooled flow stage's per-chunk flush,
+/// [`apps::multi_pkt_handler::record_chunk_flows`]: two-pass batched
+/// `record_frames` into a pre-warmed million-entry table, top-K offers,
+/// and the multi-writer counter adds into the home queue's flow shard,
+/// then the occupancy gauge publish. Measured against
+/// [`filter_only_path`]; `scripts/check.sh` gates
 /// `flow_tracking_overhead` at ≤ 10%.
 fn flow_tracking_path(
     pkts: &[Packet],
@@ -979,60 +561,13 @@ fn flow_tracking_path(
             consumed += 1;
             bytes += p.data.len() as u64;
         }
-        sink.record_frames(chunk.iter().map(|p| &p.data[..]));
-        let deltas = sink.drain_deltas();
         let flow = &tel.flow.0;
-        flow.flow_tracked_packets.add_local(deltas.packets);
-        flow.flow_evicted_flows.add_local(deltas.evicted_flows);
-        flow.flow_evicted_packets.add_local(deltas.evicted_packets);
-        flow.flow_hash_collisions.add_local(deltas.hash_collisions);
+        let deltas = record_chunk_flows(sink, chunk.iter().map(|p| &p.data[..]), flow);
         flow.flow_table_occupancy.set(deltas.occupancy);
     }
     (consumed, bytes)
 }
 
-/// Times `f` over `rounds` passes of `n_packets` and returns the
-/// median-round packets/s. The median (not the mean over the whole
-/// wall-clock span) keeps one preempted round from dragging the
-/// reported rate for the other `rounds - 1`.
-fn measure(mut f: impl FnMut() -> (u64, u64), n_packets: usize, rounds: usize) -> f64 {
-    // Warm-up pass.
-    black_box(f());
-    let mut times = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let (consumed, bytes) = black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-        assert_eq!(consumed as usize, n_packets);
-        assert_eq!(bytes as usize, n_packets * FRAME);
-    }
-    times.sort_by(|x, y| x.partial_cmp(y).expect("finite round times"));
-    n_packets as f64 / times[times.len() / 2]
-}
-
-/// Times two closures with interleaved rounds (a, b, a, b, …) so clock
-/// drift and thermal effects hit both equally. Returns the best-round
-/// packets/s for each plus a noise-robust estimate of b's slowdown
-/// relative to a (`1 - speed_b/speed_a`).
-///
-/// The per-path minimum handles additive noise (preemption and
-/// frequency dips only ever add time), but on a busy host the two
-/// minima can land in different load regimes and skew the ratio by
-/// more than the small delta under measurement. The overhead estimate
-/// therefore comes from the *median of per-round time ratios*: a and b
-/// of the same round run back-to-back under (nearly) the same load, so
-/// sustained slowdowns cancel in the ratio and the median discards the
-/// rounds where a spike hit only one side. With
-/// [`PairOrder::Alternating`] the within-round execution order also
-/// alternates (a-then-b, b-then-a, …): whichever side runs second
-/// inherits the first side's warmed caches and any tail-end of its
-/// interference, and on a single-core host that order bias alone can
-/// exceed a small delta under measurement — alternating makes it
-/// cancel in the median instead of stacking onto one side.
-/// Returns `(pps_a, pps_b, overhead_clamped, overhead_raw)`: the raw
-/// value keeps its sign so the JSON shows when a delta sits below the
-/// noise floor (slightly negative) rather than silently reading as a
-/// true zero; the clamped value is what the gates consume.
 /// Within-round execution order for [`measure_pair`].
 #[derive(Clone, Copy, PartialEq)]
 enum PairOrder {
@@ -1050,18 +585,47 @@ enum PairOrder {
     Fixed,
 }
 
+/// [`measure_pair`]'s estimate of b's slowdown relative to a.
+struct PairEstimate {
+    /// Median-round packets/s of a.
+    pps_a: f64,
+    /// Median-round packets/s of b.
+    pps_b: f64,
+    /// `1 - median(time_a / time_b)` over the blocks, clamped at zero:
+    /// the value the gates read (a delta below the noise floor can land
+    /// a hair negative, which would only confuse the thresholds).
+    overhead: f64,
+    /// The same, signed, so the JSON shows a delta lost in the noise
+    /// rather than a true zero.
+    overhead_raw: f64,
+    /// First and third quartiles of the per-block overheads (signed).
+    overhead_iqr: [f64; 2],
+}
+
+/// Times two closures with interleaved rounds (a, b, a, b, …) so clock
+/// drift and thermal effects hit both equally, and estimates b's
+/// slowdown relative to a.
+///
+/// The estimate is the *median of per-block time ratios*: a and b of
+/// the same block run back-to-back under (nearly) the same load, so
+/// sustained slowdowns cancel in the ratio and the median discards the
+/// blocks where a spike hit only one side. With
+/// [`PairOrder::Alternating`] the within-round order also alternates
+/// and each block spans an a-then-b and a b-then-a round, so the order
+/// bias (the second side inherits the first's warmed caches and the
+/// tail of its interference, which on a single-core host can exceed
+/// the delta under measurement) cancels within every sample. The
+/// interquartile range of the same block ratios is the estimate's
+/// spread.
 fn measure_pair(
     mut a: impl FnMut() -> (u64, u64),
     mut b: impl FnMut() -> (u64, u64),
     n_packets: usize,
     rounds: usize,
     order: PairOrder,
-) -> (f64, f64, f64, f64) {
+) -> PairEstimate {
     black_box(a());
     black_box(b());
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(rounds);
     let timed = |f: &mut dyn FnMut() -> (u64, u64)| {
         let start = Instant::now();
         let (consumed, bytes) = black_box(f());
@@ -1072,254 +636,101 @@ fn measure_pair(
     };
     let mut times = Vec::with_capacity(rounds);
     for round in 0..rounds {
-        let (time_a, time_b) = if order == PairOrder::Fixed || round % 2 == 0 {
+        if order == PairOrder::Fixed || round % 2 == 0 {
             let ta = timed(&mut a);
-            let tb = timed(&mut b);
-            (ta, tb)
+            times.push((ta, timed(&mut b)));
         } else {
             let tb = timed(&mut b);
-            let ta = timed(&mut a);
-            (ta, tb)
-        };
-        best_a = best_a.min(time_a);
-        best_b = best_b.min(time_b);
-        times.push((time_a, time_b));
-    }
-    match order {
-        // Each ratio spans a two-round block — one a-then-b round plus
-        // one b-then-a round — so order bias cancels *within every
-        // sample*, rather than leaving the median to split two
-        // oppositely-biased populations.
-        PairOrder::Alternating => {
-            for block in times.chunks_exact(2) {
-                ratios.push((block[0].0 + block[1].0) / (block[0].1 + block[1].1));
-            }
-        }
-        PairOrder::Fixed => {
-            for (time_a, time_b) in times {
-                ratios.push(time_a / time_b);
-            }
+            times.push((timed(&mut a), tb));
         }
     }
-    ratios.sort_by(|x, y| x.partial_cmp(y).expect("finite round times"));
-    // Clamp at zero for the gates: when the delta under test is below
-    // the noise floor the median ratio can land a hair past 1.0, and a
-    // "negative overhead" would only confuse the gate thresholds. The
-    // raw signed value rides along so the JSON distinguishes "truly
-    // zero" from "lost in the noise".
-    let raw = 1.0 - ratios[ratios.len() / 2];
-    (
-        n_packets as f64 / best_a,
-        n_packets as f64 / best_b,
-        raw.max(0.0),
-        raw,
-    )
+    let mut ratios: Vec<f64> = match order {
+        PairOrder::Alternating => times
+            .chunks_exact(2)
+            .map(|blk| (blk[0].0 + blk[1].0) / (blk[0].1 + blk[1].1))
+            .collect(),
+        PairOrder::Fixed => times.iter().map(|(ta, tb)| ta / tb).collect(),
+    };
+    let sort = |v: &mut Vec<f64>| v.sort_by(|x, y| x.partial_cmp(y).expect("finite round times"));
+    sort(&mut ratios);
+    let n = ratios.len();
+    let raw = 1.0 - ratios[n / 2];
+    let (mut ta, mut tb): (Vec<f64>, Vec<f64>) = times.into_iter().unzip();
+    sort(&mut ta);
+    sort(&mut tb);
+    PairEstimate {
+        pps_a: n_packets as f64 / ta[ta.len() / 2],
+        pps_b: n_packets as f64 / tb[tb.len() / 2],
+        overhead: raw.max(0.0),
+        overhead_raw: raw,
+        // Overhead falls as the ratio rises: the ratio's third quartile
+        // is the overhead's first.
+        overhead_iqr: [1.0 - ratios[3 * n / 4], 1.0 - ratios[n / 4]],
+    }
 }
 
 fn quick() -> bool {
     std::env::var_os("CRITERION_QUICK").is_some() || std::env::args().any(|a| a == "--quick")
 }
 
+fn pct(x: f64) -> String {
+    format!("{:.2}%", x * 100.0)
+}
+
 fn bench_hotpath(c: &mut Criterion) {
     let ms = [1usize, 4, 16, 64];
     let n_packets = if quick() { 16 * 1024 } else { 64 * 1024 };
-    let rounds = if quick() { 3 } else { 10 };
     // The overhead comparisons resolve small deltas, so their
-    // median-of-ratios needs more rounds than the headline numbers even
-    // in quick mode; each round is sub-millisecond, so this stays cheap.
+    // median-of-ratios needs many rounds even in quick mode; each round
+    // is sub-millisecond, so this stays cheap.
     let pair_rounds = 121;
     let pkts = traffic(n_packets);
 
     let mut results = Vec::new();
     for &m in &ms {
-        // Seed fixtures (reused across rounds, like the seed engine).
-        let nic: ArrayQueue<Packet> = ArrayQueue::new(R * m.max(2));
-        let chunks: ArrayQueue<Vec<Packet>> = ArrayQueue::new(R);
-        // Arena fixtures.
-        let (arena, mut free) = ChunkArena::with_slots(R, m, FRAME);
-        let ring: BatchRing<wirecap::arena::SealedSlot> = BatchRing::with_capacity(R);
+        let replica = Replica::new(m);
+        let mut entry = vec![("m".to_string(), serde::Value::U64(m as u64))];
+        for (base, inst, key) in PAIRS {
+            let est = measure_pair(
+                || (base.run)(&replica, &pkts),
+                || (inst.run)(&replica, &pkts),
+                n_packets,
+                pair_rounds,
+                PairOrder::Alternating,
+            );
+            eprintln!(
+                "hotpath M={m:>2}: {} {:.0} p/s, {} {:.0} p/s, {key} {} (IQR {} .. {})",
+                base.name,
+                est.pps_a,
+                inst.name,
+                est.pps_b,
+                pct(est.overhead),
+                pct(est.overhead_iqr[0]),
+                pct(est.overhead_iqr[1]),
+            );
+            if !entry.iter().any(|(k, _)| k == base.pps_key) {
+                entry.push((base.pps_key.into(), serde::Value::F64(est.pps_a)));
+            }
+            entry.push((inst.pps_key.into(), serde::Value::F64(est.pps_b)));
+            entry.push((key.into(), serde::Value::F64(est.overhead)));
+            entry.push((format!("{key}_raw"), serde::Value::F64(est.overhead_raw)));
+            entry.push((
+                format!("{key}_iqr"),
+                serde::Value::Arr(est.overhead_iqr.map(serde::Value::F64).to_vec()),
+            ));
+        }
+        results.push(serde::Value::Obj(entry));
 
-        let tel = QueueCounters::new();
-        let tracer = EventTracer::new(1024);
-
-        let seed_pps = measure(|| seed_path(&pkts, m, &nic, &chunks), n_packets, rounds);
-        let (batched_pps, telemetry_pps, telemetry_overhead, telemetry_overhead_raw) = {
-            let free_cell = std::cell::RefCell::new(std::mem::take(&mut free));
-            let r = measure_pair(
-                || batched_path(&pkts, &arena, &mut free_cell.borrow_mut(), &ring),
-                || {
-                    telemetry_path(
-                        &pkts,
-                        &arena,
-                        &mut free_cell.borrow_mut(),
-                        &ring,
-                        &tel,
-                        &tracer,
-                    )
-                },
-                n_packets,
-                pair_rounds,
-                PairOrder::Alternating,
-            );
-            free = free_cell.into_inner();
-            r
-        };
-        // Latency stamping is measured against the telemetry baseline
-        // (not the bare batched path): the 5% budget in check.sh bounds
-        // what the *stamp itself* adds to an already-instrumented loop.
-        let (_, latency_stamping_pps, latency_overhead, latency_overhead_raw) = {
-            let free_cell = std::cell::RefCell::new(std::mem::take(&mut free));
-            let r = measure_pair(
-                || {
-                    telemetry_path(
-                        &pkts,
-                        &arena,
-                        &mut free_cell.borrow_mut(),
-                        &ring,
-                        &tel,
-                        &tracer,
-                    )
-                },
-                || {
-                    stamped_path(
-                        &pkts,
-                        &arena,
-                        &mut free_cell.borrow_mut(),
-                        &ring,
-                        &tel,
-                        &tracer,
-                    )
-                },
-                n_packets,
-                pair_rounds,
-                PairOrder::Alternating,
-            );
-            free = free_cell.into_inner();
-            r
-        };
-        // Span tracing is measured against the stamped baseline: the
-        // 3% budget in check.sh bounds what 1-in-N lifecycle spans add
-        // to an already latency-metered loop.
-        let spans_ring = SpanRing::with_capacity(1024);
-        let (_, span_tracing_pps, span_tracing_overhead, span_tracing_overhead_raw) = {
-            let free_cell = std::cell::RefCell::new(std::mem::take(&mut free));
-            let r = measure_pair(
-                || {
-                    stamped_path(
-                        &pkts,
-                        &arena,
-                        &mut free_cell.borrow_mut(),
-                        &ring,
-                        &tel,
-                        &tracer,
-                    )
-                },
-                || {
-                    spans_path(
-                        &pkts,
-                        &arena,
-                        &mut free_cell.borrow_mut(),
-                        &ring,
-                        &tel,
-                        &tracer,
-                        &spans_ring,
-                    )
-                },
-                n_packets,
-                pair_rounds,
-                PairOrder::Alternating,
-            );
-            free = free_cell.into_inner();
-            r
-        };
-        // The disk-writer encode is measured against the stamped
-        // baseline: the extra cost is exactly what the capdisk writer
-        // thread adds (pcapng encode + batched commit bookkeeping).
-        let mut enc: Vec<u8> = vec![0u8; 64 << 10];
-        let (_, disk_writer_pps, disk_writer_overhead, disk_writer_overhead_raw) = {
-            let free_cell = std::cell::RefCell::new(std::mem::take(&mut free));
-            let r = measure_pair(
-                || {
-                    stamped_path(
-                        &pkts,
-                        &arena,
-                        &mut free_cell.borrow_mut(),
-                        &ring,
-                        &tel,
-                        &tracer,
-                    )
-                },
-                || {
-                    disk_writer_path(
-                        &pkts,
-                        &arena,
-                        &mut free_cell.borrow_mut(),
-                        &ring,
-                        &tel,
-                        &tracer,
-                        &mut enc,
-                    )
-                },
-                n_packets,
-                pair_rounds,
-                PairOrder::Alternating,
-            );
-            free = free_cell.into_inner();
-            r
-        };
-        let speedup = batched_pps / seed_pps;
-        eprintln!(
-            "hotpath M={m:>2}: seed {seed_pps:>12.0} p/s, batched {batched_pps:>12.0} p/s, \
-             speedup {speedup:.2}x, telemetry {telemetry_pps:>12.0} p/s \
-             (overhead {:.2}%), stamped {latency_stamping_pps:>12.0} p/s \
-             (latency overhead {:.2}%), spans {span_tracing_pps:>12.0} p/s \
-             (span overhead {:.2}%), disk writer {disk_writer_pps:>12.0} p/s \
-             (encode overhead {:.2}%)",
-            telemetry_overhead * 100.0,
-            latency_overhead * 100.0,
-            span_tracing_overhead * 100.0,
-            disk_writer_overhead * 100.0
-        );
-        results.push(HotpathResult {
-            m,
-            seed_pps,
-            batched_pps,
-            speedup,
-            telemetry_pps,
-            telemetry_overhead,
-            telemetry_overhead_raw,
-            latency_stamping_pps,
-            latency_overhead,
-            latency_overhead_raw,
-            span_tracing_pps,
-            span_tracing_overhead,
-            span_tracing_overhead_raw,
-            disk_writer_pps,
-            disk_writer_overhead,
-            disk_writer_overhead_raw,
-        });
-
-        // Criterion display entries over the same closures.
+        // Criterion display entries, one per variant in the table.
         let mut g = c.benchmark_group(format!("hotpath_m{m}"));
         g.throughput(Throughput::Elements(n_packets as u64));
-        g.bench_function("seed_chunk_at_a_time", |b| {
-            b.iter(|| seed_path(&pkts, m, &nic, &chunks))
-        });
-        g.bench_function("batched_arena", |b| {
-            b.iter(|| batched_path(&pkts, &arena, &mut free, &ring))
-        });
-        g.bench_function("batched_arena_telemetry", |b| {
-            b.iter(|| telemetry_path(&pkts, &arena, &mut free, &ring, &tel, &tracer))
-        });
-        g.bench_function("latency_stamping", |b| {
-            b.iter(|| stamped_path(&pkts, &arena, &mut free, &ring, &tel, &tracer))
-        });
-        g.bench_function("span_tracing", |b| {
-            b.iter(|| spans_path(&pkts, &arena, &mut free, &ring, &tel, &tracer, &spans_ring))
-        });
-        g.bench_function("disk_writer_encode", |b| {
-            b.iter(|| disk_writer_path(&pkts, &arena, &mut free, &ring, &tel, &tracer, &mut enc))
-        });
+        let mut benched: Vec<&str> = Vec::new();
+        for v in PAIRS.iter().flat_map(|(base, inst, _)| [base, inst]) {
+            if !benched.contains(&v.name) {
+                benched.push(v.name);
+                g.bench_function(v.name, |b| b.iter(|| (v.run)(&replica, &pkts)));
+            }
+        }
         g.finish();
     }
 
@@ -1365,8 +776,8 @@ fn bench_hotpath(c: &mut Criterion) {
     let mono_q = backend.mono_queue(0);
     let dyn_q: Arc<dyn BackendQueue> = backend.queue(0);
     let (dispatch_arena, dispatch_free) = ChunkArena::with_slots(R, dispatch_m, FRAME);
-    let (mono_pps, dyn_pps, dispatch_overhead, dispatch_overhead_raw) = {
-        let free_cell = std::cell::RefCell::new(dispatch_free);
+    let dispatch = {
+        let free_cell = RefCell::new(dispatch_free);
         measure_pair(
             || {
                 dispatch_mono(
@@ -1394,15 +805,19 @@ fn bench_hotpath(c: &mut Criterion) {
     let backend_dispatch = BackendDispatchEntry {
         m: dispatch_m,
         batch: DISPATCH_BATCH,
-        mono_pps,
-        dyn_pps,
-        backend_dispatch_overhead: dispatch_overhead,
-        backend_dispatch_overhead_raw: dispatch_overhead_raw,
+        mono_pps: dispatch.pps_a,
+        dyn_pps: dispatch.pps_b,
+        backend_dispatch_overhead: dispatch.overhead,
+        backend_dispatch_overhead_raw: dispatch.overhead_raw,
+        backend_dispatch_overhead_iqr: dispatch.overhead_iqr,
     };
     eprintln!(
-        "hotpath backend_dispatch: mono {mono_pps:.0} p/s, dyn {dyn_pps:.0} p/s, \
-         overhead {:.2}%",
-        dispatch_overhead * 100.0
+        "hotpath backend_dispatch: mono {:.0} p/s, dyn {:.0} p/s, overhead {} (IQR {} .. {})",
+        dispatch.pps_a,
+        dispatch.pps_b,
+        pct(dispatch.overhead),
+        pct(dispatch.overhead_iqr[0]),
+        pct(dispatch.overhead_iqr[1]),
     );
 
     // Single-hot-queue entry (DESIGN.md §4.11): all load on one queue,
@@ -1500,10 +915,10 @@ fn bench_hotpath(c: &mut Criterion) {
         "hotpath flow_tracking: {FLOW_FLOWS} flows, {FLOW_ELEPHANTS} elephants, \
          chunk {FLOW_CHUNK}, {n_packets} packets per mode"
     );
-    let (filter_pps, flow_pps, flow_overhead, flow_overhead_raw) = {
+    let flow = {
         let mut handler_a = apps::PktHandler::paper(FLOW_FILTER_X);
         let mut handler_b = apps::PktHandler::paper(FLOW_FILTER_X);
-        let sink_cell = std::cell::RefCell::new(flow_sink);
+        let sink_cell = RefCell::new(flow_sink);
         measure_pair(
             || filter_only_path(&flow_pkts, &mut handler_a),
             || {
@@ -1527,70 +942,45 @@ fn bench_hotpath(c: &mut Criterion) {
         chunk: FLOW_CHUNK,
         filter_x: FLOW_FILTER_X,
         packets: n_packets,
-        filter_pps,
-        flow_pps,
-        flow_tracking_overhead: flow_overhead,
-        flow_tracking_overhead_raw: flow_overhead_raw,
+        filter_pps: flow.pps_a,
+        flow_pps: flow.pps_b,
+        flow_tracking_overhead: flow.overhead,
+        flow_tracking_overhead_raw: flow.overhead_raw,
+        flow_tracking_overhead_iqr: flow.overhead_iqr,
         live_flows: flow_snap.flow_table_occupancy,
         evicted_flows: flow_snap.flow_evicted_flows,
     };
     eprintln!(
-        "hotpath flow_tracking: filter {filter_pps:.0} p/s, +flows {flow_pps:.0} p/s, \
-         overhead {:.2}% ({} live flows, {} evicted)",
-        flow_overhead * 100.0,
+        "hotpath flow_tracking: filter {:.0} p/s, +flows {:.0} p/s, overhead {} \
+         (IQR {} .. {}; {} live flows, {} evicted)",
+        flow.pps_a,
+        flow.pps_b,
+        pct(flow.overhead),
+        pct(flow.overhead_iqr[0]),
+        pct(flow.overhead_iqr[1]),
         flow_tracking.live_flows,
         flow_tracking.evicted_flows
     );
 
-    write_json(
-        &results,
+    let doc = Doc {
+        benchmark: "hot-path instrumentation replica over the claim-queue handoff".into(),
+        frame_bytes: FRAME,
+        pool_chunks: R,
+        packets_per_round: n_packets,
+        rounds: pair_rounds,
+        results,
         consumer_pool,
         single_hot_queue,
         backend_dispatch,
         flow_tracking,
         latency_slo,
-        n_packets,
-        rounds,
-    );
-}
-
-struct HotpathResult {
-    m: usize,
-    seed_pps: f64,
-    batched_pps: f64,
-    speedup: f64,
-    telemetry_pps: f64,
-    telemetry_overhead: f64,
-    telemetry_overhead_raw: f64,
-    latency_stamping_pps: f64,
-    latency_overhead: f64,
-    latency_overhead_raw: f64,
-    span_tracing_pps: f64,
-    span_tracing_overhead: f64,
-    span_tracing_overhead_raw: f64,
-    disk_writer_pps: f64,
-    disk_writer_overhead: f64,
-    disk_writer_overhead_raw: f64,
-}
-
-#[derive(serde::Serialize)]
-struct Entry {
-    m: usize,
-    seed_pps: f64,
-    batched_pps: f64,
-    speedup: f64,
-    telemetry_pps: f64,
-    telemetry_overhead: f64,
-    telemetry_overhead_raw: f64,
-    latency_stamping_pps: f64,
-    latency_overhead: f64,
-    latency_overhead_raw: f64,
-    span_tracing_pps: f64,
-    span_tracing_overhead: f64,
-    span_tracing_overhead_raw: f64,
-    disk_writer_pps: f64,
-    disk_writer_overhead: f64,
-    disk_writer_overhead_raw: f64,
+    };
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join("BENCH_hotpath.json");
+    let body = serde_json::to_string_pretty(&doc).expect("serializing results");
+    std::fs::write(&path, body + "\n").expect("writing BENCH_hotpath.json");
+    eprintln!("wrote {}", path.display());
 }
 
 /// Multi-core delivery scaling: pooled claim workers (with adaptive
@@ -1634,6 +1024,7 @@ struct BackendDispatchEntry {
     dyn_pps: f64,
     backend_dispatch_overhead: f64,
     backend_dispatch_overhead_raw: f64,
+    backend_dispatch_overhead_iqr: [f64; 2],
 }
 
 /// Online flow analytics on the delivery path: the BPF-filtering
@@ -1652,6 +1043,7 @@ struct FlowTrackingEntry {
     flow_pps: f64,
     flow_tracking_overhead: f64,
     flow_tracking_overhead_raw: f64,
+    flow_tracking_overhead_iqr: [f64; 2],
     live_flows: u64,
     evicted_flows: u64,
 }
@@ -1682,64 +1074,13 @@ struct Doc {
     pool_chunks: usize,
     packets_per_round: usize,
     rounds: usize,
-    results: Vec<Entry>,
+    /// Per-M replica rates and overheads, keyed from [`PAIRS`].
+    results: Vec<serde::Value>,
     consumer_pool: ConsumerPoolEntry,
     single_hot_queue: SingleHotQueueEntry,
     backend_dispatch: BackendDispatchEntry,
     flow_tracking: FlowTrackingEntry,
     latency_slo: LatencySloEntry,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    results: &[HotpathResult],
-    consumer_pool: ConsumerPoolEntry,
-    single_hot_queue: SingleHotQueueEntry,
-    backend_dispatch: BackendDispatchEntry,
-    flow_tracking: FlowTrackingEntry,
-    latency_slo: LatencySloEntry,
-    n_packets: usize,
-    rounds: usize,
-) {
-    let doc = Doc {
-        benchmark: "live hot path, chunk-at-a-time vs batched arena".into(),
-        frame_bytes: FRAME,
-        pool_chunks: R,
-        packets_per_round: n_packets,
-        rounds,
-        results: results
-            .iter()
-            .map(|r| Entry {
-                m: r.m,
-                seed_pps: r.seed_pps,
-                batched_pps: r.batched_pps,
-                speedup: r.speedup,
-                telemetry_pps: r.telemetry_pps,
-                telemetry_overhead: r.telemetry_overhead,
-                telemetry_overhead_raw: r.telemetry_overhead_raw,
-                latency_stamping_pps: r.latency_stamping_pps,
-                latency_overhead: r.latency_overhead,
-                latency_overhead_raw: r.latency_overhead_raw,
-                span_tracing_pps: r.span_tracing_pps,
-                span_tracing_overhead: r.span_tracing_overhead,
-                span_tracing_overhead_raw: r.span_tracing_overhead_raw,
-                disk_writer_pps: r.disk_writer_pps,
-                disk_writer_overhead: r.disk_writer_overhead,
-                disk_writer_overhead_raw: r.disk_writer_overhead_raw,
-            })
-            .collect(),
-        consumer_pool,
-        single_hot_queue,
-        backend_dispatch,
-        flow_tracking,
-        latency_slo,
-    };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_hotpath.json");
-    let body = serde_json::to_string_pretty(&doc).expect("serializing results");
-    std::fs::write(&path, body + "\n").expect("writing BENCH_hotpath.json");
-    eprintln!("wrote {}", path.display());
 }
 
 criterion_group!(benches, bench_hotpath);

@@ -116,23 +116,9 @@ fn skewed_traffic(n: u64) -> Vec<Packet> {
 /// snapshot (shared with the `latency` sweep — every reported data
 /// point passes through here first).
 pub fn assert_conserved(snap: &EngineSnapshot, offered: u64) {
-    let captured: u64 = snap.queues.iter().map(|q| q.captured_packets).sum();
-    let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
-    let delivery_dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
-    assert_eq!(
-        delivered + delivery_dropped,
-        captured,
-        "packets lost between capture and delivery"
-    );
-    let capture_dropped: u64 = snap.queues.iter().map(|q| q.capture_drop_packets).sum();
-    assert_eq!(
-        captured + capture_dropped,
-        offered,
-        "captured + dropped must cover every offered packet"
-    );
-    let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
-    let recycled: u64 = snap.queues.iter().map(|q| q.recycled_chunks).sum();
-    assert_eq!(recycled, sealed, "chunk slots leaked");
+    if let Err(broken) = snap.check_conservation(offered) {
+        panic!("{broken}");
+    }
 }
 
 /// Runs the per-queue baseline: one `LiveConsumer` thread bound to each

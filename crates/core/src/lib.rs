@@ -84,8 +84,8 @@ pub use config::{ConfigError, WireCapConfig, WireCapConfigBuilder};
 pub use engine::WireCapEngine;
 pub use live::{ChunkLens, LiveChunk, LiveConsumer, LiveWireCap, RegistryHandle};
 pub use pool::RingBufferPool;
-pub use spsc::{BatchRing, MAX_BATCH};
+pub use spsc::BatchRing;
 pub use steal::{
-    pin_to_core, steal_deque, AdaptivePoller, ConsumerPool, DequeOwner, DequeStealer, IdleStep,
-    PoolDelivery, PoolHandler, PoolWorkerReport, Steal, WakeupGate,
+    pin_to_core, AdaptivePoller, ConsumerPool, IdleStep, PoolDelivery, PoolHandler,
+    PoolWorkerReport, WakeupGate,
 };

@@ -241,6 +241,43 @@ impl EngineSnapshot {
         DropStats::from(&self.total())
     }
 
+    /// Checks the engine's conservation laws for a finished run that was
+    /// offered `offered` packets, summed over every queue:
+    ///
+    /// * `captured + capture_drop = offered`
+    /// * `delivered + delivery_drop = captured`
+    /// * `recycled = sealed` (chunks)
+    ///
+    /// # Errors
+    /// Names the first law that does not hold, with both sides' values.
+    pub fn check_conservation(&self, offered: u64) -> Result<(), String> {
+        let sum = |f: fn(&QueueTelemetry) -> u64| self.queues.iter().map(f).sum::<u64>();
+        let captured = sum(|q| q.captured_packets);
+        let laws = [
+            (
+                "captured + capture_drop = offered",
+                captured + sum(|q| q.capture_drop_packets),
+                offered,
+            ),
+            (
+                "delivered + delivery_drop = captured",
+                sum(|q| q.delivered_packets) + sum(|q| q.delivery_drop_packets),
+                captured,
+            ),
+            (
+                "recycled = sealed",
+                sum(|q| q.recycled_chunks),
+                sum(|q| q.sealed_chunks),
+            ),
+        ];
+        match laws.into_iter().find(|(_, lhs, rhs)| lhs != rhs) {
+            Some((law, lhs, rhs)) => {
+                Err(format!("conservation law `{law}` broken: {lhs} != {rhs}"))
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Pretty-printed JSON (the schema the fig binaries emit).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("EngineSnapshot serializes")
@@ -428,6 +465,32 @@ mod tests {
         assert_eq!(ds.capture_drops, 10, "nic + capture drops unify");
         assert_eq!(ds.delivery_drops, 2);
         assert!(ds.is_consistent());
+    }
+
+    #[test]
+    fn conservation_check_names_each_broken_law() {
+        let mut snap = sample();
+        // Chunk laws sum across queues: sealed on one, recycled on another.
+        snap.queues[0].sealed_chunks = 2;
+        snap.queues[1].recycled_chunks = 2;
+        // 100 offered, 3 of them dropped at the NIC before the engine.
+        assert_eq!(snap.check_conservation(97), Ok(()));
+        type OffByOne = fn(&mut QueueTelemetry);
+        let breaks: [(&str, OffByOne); 3] = [
+            ("captured + capture_drop = offered", |q| {
+                q.capture_drop_packets += 1
+            }),
+            ("delivered + delivery_drop = captured", |q| {
+                q.delivered_packets += 1
+            }),
+            ("recycled = sealed", |q| q.recycled_chunks += 1),
+        ];
+        for (law, off_by_one) in breaks {
+            let mut broken = snap.clone();
+            off_by_one(&mut broken.queues[1]);
+            let err = broken.check_conservation(97).expect_err(law);
+            assert!(err.contains(law), "{law}: {err}");
+        }
     }
 
     #[test]

@@ -5,16 +5,19 @@
 #
 # BENCH_hotpath.json schema (written by `cargo bench -p bench --bench
 # hotpath`; every entry named here is gated below):
-#   results[]        per-M pipeline rates: seed_pps, batched_pps,
-#                    speedup, plus telemetry/latency/span/disk-writer
-#                    overheads (each with a `_raw` companion; the gates
-#                    read the clamped value)
+#   results[]        per-M replica rates (batched_pps and one *_pps per
+#                    instrumented stage) plus telemetry/latency/span/
+#                    disk-writer overheads, each with a signed `_raw`
+#                    companion and an `_iqr` [q1, q3] of its block
+#                    ratios (the gates read the clamped median; the
+#                    IQR is printed beside it)
 #   consumer_pool    pooled vs per-queue delivery (pool_speedup)
 #   single_hot_queue pool worker scaling on one queue
 #                    (hotq_speedup)
 #   backend_dispatch mono vs dyn queue calls
-#                    (backend_dispatch_overhead)
-#   flow_tracking    per-chunk flow analytics (flow_tracking_overhead)
+#                    (backend_dispatch_overhead, with _raw and _iqr)
+#   flow_tracking    per-chunk flow analytics (flow_tracking_overhead,
+#                    with _raw and _iqr)
 #   latency_slo      tail-latency SLO pair (DESIGN.md section 4.16):
 #                    R = 31 vs R = 256 p50/p99/p99.9 under saturating
 #                    load, plus the small pool's R x M / pps bound
@@ -69,11 +72,12 @@ echo "==> latency-stamping overhead budget (<= 5% at every M)"
 awk '
     /"m":/            { m = $2 + 0 }
     /"latency_overhead":/ { sub(/,$/, "", $2); ov[m] = $2 + 0; ms[m] = 1 }
+    /"latency_overhead_iqr":/ { getline lo; getline hi; iqr[m] = sprintf("[%.2f%%, %.2f%%]", lo * 100, hi * 100) }
     END {
         n = 0; bad = 0
         for (m in ms) {
             n++
-            printf "    m=%d latency_overhead=%.2f%%\n", m, ov[m] * 100
+            printf "    m=%d latency_overhead=%.2f%% (IQR %s)\n", m, ov[m] * 100, iqr[m]
             if (ov[m] > 0.05) {
                 printf "FAIL: latency stamping overhead %.2f%% > 5%% at m=%d\n", ov[m] * 100, m
                 bad = 1
@@ -92,9 +96,10 @@ echo "==> span-tracing overhead budget (<= 3% at the largest M)"
 awk '
     /"m":/            { m = $2 + 0 }
     /"span_tracing_overhead":/ { sub(/,$/, "", $2); ov[m] = $2 + 0; if (m > max_m) max_m = m }
+    /"span_tracing_overhead_iqr":/ { getline lo; getline hi; iqr[m] = sprintf("[%.2f%%, %.2f%%]", lo * 100, hi * 100) }
     END {
         if (max_m == 0) { print "FAIL: no span_tracing_overhead entries"; exit 1 }
-        printf "    m=%d span_tracing_overhead=%.2f%%\n", max_m, ov[max_m] * 100
+        printf "    m=%d span_tracing_overhead=%.2f%% (IQR %s)\n", max_m, ov[max_m] * 100, iqr[max_m]
         if (ov[max_m] > 0.03) {
             printf "FAIL: span tracing overhead %.2f%% > 3%% at m=%d\n", ov[max_m] * 100, max_m
             exit 1
@@ -120,10 +125,11 @@ awk '
         if (m > max_m) max_m = m
         if (min_m == 0 || m < min_m) min_m = m
     }
+    /"disk_writer_overhead_iqr":/ { getline lo; getline hi; iqr[m] = sprintf("[%.2f%%, %.2f%%]", lo * 100, hi * 100) }
     END {
         if (max_m == 0) { print "FAIL: no disk_writer_overhead entries"; exit 1 }
-        printf "    m=%d disk_writer_overhead=%.2f%%  m=%d disk_writer_overhead=%.2f%%\n", \
-            min_m, ov[min_m] * 100, max_m, ov[max_m] * 100
+        printf "    m=%d disk_writer_overhead=%.2f%% (IQR %s)  m=%d disk_writer_overhead=%.2f%% (IQR %s)\n", \
+            min_m, ov[min_m] * 100, iqr[min_m], max_m, ov[max_m] * 100, iqr[max_m]
         if (ov[min_m] > 0.30) {
             printf "FAIL: disk writer encode overhead %.2f%% > 30%% at m=%d\n", ov[min_m] * 100, min_m
             exit 1
@@ -175,9 +181,10 @@ echo "==> backend dispatch overhead budget (<= 2%, mono vs dyn trait calls)"
 # real per-packet cost.
 awk '
     /"backend_dispatch_overhead":/ { sub(/,$/, "", $2); ov = $2 + 0; seen = 1 }
+    /"backend_dispatch_overhead_iqr":/ { getline lo; getline hi; iqr = sprintf("[%.2f%%, %.2f%%]", lo * 100, hi * 100) }
     END {
         if (!seen) { print "FAIL: no backend_dispatch_overhead entry in BENCH_hotpath.json"; exit 1 }
-        printf "    backend_dispatch_overhead=%.2f%%\n", ov * 100
+        printf "    backend_dispatch_overhead=%.2f%% (IQR %s)\n", ov * 100, iqr
         if (ov > 0.02) {
             printf "FAIL: backend dispatch overhead %.2f%% > 2%%\n", ov * 100
             exit 1
@@ -196,9 +203,10 @@ echo "==> flow-tracking overhead budget (<= 10% at 1M flows)"
 # dwarfs the flow stage (DESIGN.md section 4.15).
 awk '
     /"flow_tracking_overhead":/ { sub(/,$/, "", $2); ov = $2 + 0; seen = 1 }
+    /"flow_tracking_overhead_iqr":/ { getline lo; getline hi; iqr = sprintf("[%.2f%%, %.2f%%]", lo * 100, hi * 100) }
     END {
         if (!seen) { print "FAIL: no flow_tracking_overhead entry in BENCH_hotpath.json"; exit 1 }
-        printf "    flow_tracking_overhead=%.2f%%\n", ov * 100
+        printf "    flow_tracking_overhead=%.2f%% (IQR %s)\n", ov * 100, iqr
         if (ov > 0.10) {
             printf "FAIL: flow tracking overhead %.2f%% > 10%%\n", ov * 100
             exit 1
@@ -282,6 +290,11 @@ if command -v python3 >/dev/null 2>&1; then
 else
     echo "    python3 not installed; skipping"
 fi
+
+echo "==> end-to-end benchmark builds and passes its tests (e2ebench, release)"
+# e2ebench is its own workspace against the engine's public API: an API
+# change that breaks the benchmark fails here, not at benchmark time.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "==> capture-to-disk smoke (conservation + rotation + degradation)"
 cargo test -q --test capture_to_disk

@@ -14,6 +14,7 @@
 //! small enough that eviction actually fires, and
 //! checks the per-chunk telemetry flushes agree with the sinks.
 
+use apps::multi_pkt_handler::record_chunk_flows;
 use flowstat::{FlowSink, FlowSinkConfig};
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
@@ -81,15 +82,11 @@ fn run_flow_pool(
     let pool = {
         let sinks = Arc::clone(&sinks);
         engine.consumer_pool(&group, workers, move |d| {
-            let mut sink = sinks[d.worker()].lock().expect("sink poisoned");
-            sink.record_frames(d.view().iter().map(|p| p.data));
-            let deltas = sink.drain_deltas();
-            drop(sink);
-            let flow = &reg.queue(d.home()).flow.0;
-            flow.flow_tracked_packets.add(deltas.packets);
-            flow.flow_evicted_flows.add(deltas.evicted_flows);
-            flow.flow_evicted_packets.add(deltas.evicted_packets);
-            flow.flow_hash_collisions.add(deltas.hash_collisions);
+            record_chunk_flows(
+                &mut sinks[d.worker()].lock().expect("sink poisoned"),
+                d.view().iter().map(|p| p.data),
+                &reg.queue(d.home()).flow.0,
+            );
         })
     };
 

@@ -141,23 +141,9 @@ fn run_pool(
 }
 
 fn assert_conserved(snap: &EngineSnapshot, total: u64) {
-    let captured: u64 = snap.queues.iter().map(|q| q.captured_packets).sum();
-    let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
-    let delivery_dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
-    assert_eq!(
-        delivered + delivery_dropped,
-        captured,
-        "packets lost between capture and the claim workers: {snap:?}"
-    );
-    let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
-    let recycled: u64 = snap.queues.iter().map(|q| q.recycled_chunks).sum();
-    assert_eq!(recycled, sealed, "chunk slots leaked: {snap:?}");
-    let dropped: u64 = snap.queues.iter().map(|q| q.capture_drop_packets).sum();
-    assert_eq!(
-        captured + dropped,
-        total,
-        "captured + capture-dropped must cover every injected packet: {snap:?}"
-    );
+    if let Err(broken) = snap.check_conservation(total) {
+        panic!("{broken}: {snap:?}");
+    }
     let stranded: u64 = snap.queues.iter().map(|q| q.reorder_occupancy).sum();
     assert_eq!(stranded, 0, "chunks stranded in reorder buffers: {snap:?}");
 }
