@@ -13,6 +13,9 @@
 //!   the work in live mode;
 //! * [`multi_pkt_handler`] — the multi-threaded variant driving the live
 //!   WireCAP engine (§4);
+//! * [`live`] — the one live-run harness: [`live::inject`] and
+//!   [`live::drive`] (engine → consumers → traffic → stop → join →
+//!   shutdown → conservation-checked snapshot), under every live run;
 //! * [`forwarder`] — the middlebox application of the forwarding
 //!   experiments: inspect, modify (TTL decrement + incremental checksum
 //!   fix), forward;
@@ -29,6 +32,7 @@
 
 pub mod forwarder;
 pub mod harness;
+pub mod live;
 pub mod multi_pkt_handler;
 pub mod pkt_handler;
 pub mod queue_profiler;
@@ -36,6 +40,6 @@ pub mod save;
 pub mod timestamping;
 
 pub use harness::{run_experiment, EngineKind, ExperimentResult};
+pub use live::{drive, inject, Consumers, LiveRun};
 pub use pkt_handler::PktHandler;
 pub use queue_profiler::QueueProfiler;
-pub use save::SaveOutcome;

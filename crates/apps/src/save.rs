@@ -3,8 +3,8 @@
 //! The paper's capture-and-save experiment (§4) runs the engine while
 //! streaming every captured packet to disk, and asks what the save leg
 //! costs: does writing slow capture down, and when the disk cannot keep
-//! up, where do the losses land? This harness drives a live engine over
-//! a [`LiveNic`] with a caller-chosen [`SinkMode`]:
+//! up, where do the losses land? [`run`] drives a live engine with a
+//! caller-chosen [`SinkMode`]:
 //!
 //! * [`SinkMode::Count`] — consume and count (the pure-capture
 //!   baseline);
@@ -12,112 +12,29 @@
 //!   handoff's drop policy guarantees the capture path never blocks on
 //!   I/O, so capture-side numbers stay comparable across modes.
 //!
-//! The caller owns injection, mirroring [`crate::multi_pkt_handler`]:
-//! inject into `nic`, call [`LiveNic::stop`], and read the returned
-//! [`SaveOutcome`].
+//! In disk mode the returned [`LiveRun::disk`] report partitions the
+//! delivered packets exactly: `delivered == written + disk_drop`.
 
-use capdisk::{DiskReport, DiskSink, SinkMode};
-use nicsim::livenic::LiveNic;
+use crate::live::{drive, Consumers, LiveRun};
+use capdisk::SinkMode;
+use netproto::Packet;
 use std::sync::Arc;
-use telemetry::EngineSnapshot;
-use wirecap::buddy::BuddyGroups;
-use wirecap::live::LiveWireCap;
-use wirecap::NicSimBackend;
-use wirecap::WireCapConfig;
+use wirecap::{LoopbackBackend, WireCapConfig};
 
-/// Outcome of one capture(-and-save) run.
-#[derive(Debug)]
-pub struct SaveOutcome {
-    /// Packets delivered to the consumer side (all queues).
-    pub delivered_packets: u64,
-    /// Packets lost on the capture side (pool/queue exhaustion).
-    pub capture_drop_packets: u64,
-    /// The disk sink's report; `None` in [`SinkMode::Count`] runs.
-    pub disk: Option<DiskReport>,
-    /// Final engine snapshot, taken after consumers finished but
-    /// before shutdown.
-    pub snapshot: EngineSnapshot,
-}
-
-impl SaveOutcome {
-    /// Packets the disk leg wrote (0 in count mode).
-    pub fn written_packets(&self) -> u64 {
-        self.disk.as_ref().map_or(0, DiskReport::written_packets)
-    }
-
-    /// Packets the disk leg shed (0 in count mode).
-    pub fn disk_drop_packets(&self) -> u64 {
-        self.disk.as_ref().map_or(0, DiskReport::dropped_packets)
-    }
-
-    /// True when every delivered packet is accounted for by the sink:
-    /// `delivered == written + disk_drop` (trivially true in count
-    /// mode).
-    pub fn is_conserved(&self) -> bool {
-        match &self.disk {
-            Some(d) => d.is_conserved() && self.delivered_packets == d.delivered_packets(),
-            None => true,
-        }
-    }
-}
-
-/// Runs a live engine over `nic` with the given sink until the NIC
-/// stops and the capture streams drain.
-///
-/// Buddy grouping follows the config, as in
-/// [`crate::multi_pkt_handler::run`]: a threshold means one group over
-/// all queues (advanced mode), none means isolated queues.
-pub fn run(nic: Arc<LiveNic>, cfg: WireCapConfig, sink: SinkMode) -> SaveOutcome {
-    let queues = nic.queue_count();
-    let groups = if cfg.threshold.is_some() {
-        BuddyGroups::single(queues)
-    } else {
-        BuddyGroups::isolated(queues)
+/// Runs `traffic` (paced at `pace_pps`, 0 = saturating) through a live
+/// engine over `backend` into `sink`, to end of stream.
+pub fn run(
+    backend: Arc<dyn LoopbackBackend>,
+    cfg: WireCapConfig,
+    sink: SinkMode,
+    traffic: impl IntoIterator<Item = Packet>,
+    pace_pps: u64,
+) -> LiveRun {
+    let consumers = match sink {
+        SinkMode::Disk(disk) => Consumers::Disk(disk),
+        SinkMode::Count => Consumers::per_queue(|_| |_| {}),
     };
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg)
-        .groups(groups)
-        .start();
-    let (delivered, disk) = match sink {
-        SinkMode::Disk(cfg) => {
-            let sink = DiskSink::attach(&engine, &cfg).expect("creating capture directory");
-            let report = sink.wait();
-            (report.delivered_packets(), Some(report))
-        }
-        SinkMode::Count => {
-            let counters: Vec<_> = (0..queues)
-                .map(|q| {
-                    let mut c = engine.consumer(q);
-                    std::thread::Builder::new()
-                        .name(format!("capture-count-{q}"))
-                        .spawn(move || {
-                            let mut n = 0u64;
-                            while let Some(chunk) = c.next_chunk() {
-                                n += chunk.len() as u64;
-                                c.recycle(chunk);
-                            }
-                            n
-                        })
-                        .expect("spawning counting consumer")
-                })
-                .collect();
-            let delivered = counters
-                .into_iter()
-                .map(|t| t.join().expect("counting consumer panicked"))
-                .sum();
-            (delivered, None)
-        }
-    };
-    let snapshot = engine.snapshot();
-    let capture_drop_packets = snapshot.queues.iter().map(|q| q.capture_drop_packets).sum();
-    engine.shutdown();
-    SaveOutcome {
-        delivered_packets: delivered,
-        capture_drop_packets,
-        disk,
-        snapshot,
-    }
+    drive(backend, cfg, consumers, traffic, pace_pps)
 }
 
 #[cfg(test)]
@@ -125,23 +42,21 @@ mod tests {
     use super::*;
     use capdisk::DiskSinkConfig;
     use netproto::{FlowKey, PacketBuilder};
+    use nicsim::livenic::LiveNic;
     use std::net::Ipv4Addr;
+    use wirecap::NicSimBackend;
 
-    fn inject_and_stop(nic: &Arc<LiveNic>, n: u64) {
+    fn traffic(n: u64) -> impl Iterator<Item = Packet> {
         let mut b = PacketBuilder::new();
-        for i in 0..n {
+        (0..n).map(move |i| {
             let flow = FlowKey::udp(
                 Ipv4Addr::new(10, 1, (i % 200) as u8, 1),
                 (2_000 + i % 10_000) as u16,
                 Ipv4Addr::new(131, 225, 2, 1),
                 443,
             );
-            let pkt = b.build_packet(i * 1_000, &flow, 150).unwrap();
-            while nic.inject(pkt.clone()).is_none() {
-                std::thread::yield_now();
-            }
-        }
-        nic.stop();
+            b.build_packet(i * 1_000, &flow, 150).unwrap()
+        })
     }
 
     fn cfg() -> WireCapConfig {
@@ -152,43 +67,30 @@ mod tests {
 
     #[test]
     fn count_mode_delivers_everything() {
-        let nic = LiveNic::new(2, 4096);
-        let injector = {
-            let nic = Arc::clone(&nic);
-            std::thread::spawn(move || inject_and_stop(&nic, 2_000))
-        };
-        let out = run(Arc::clone(&nic), cfg(), SinkMode::Count);
-        injector.join().unwrap();
-        assert_eq!(out.delivered_packets, 2_000);
+        let nic = NicSimBackend::new(LiveNic::new(2, 4096));
+        let out = run(nic, cfg(), SinkMode::Count, traffic(2_000), 0);
+        assert_eq!(out.delivered, 2_000);
         assert!(out.disk.is_none());
-        assert!(out.is_conserved());
     }
 
     #[test]
     fn disk_mode_conserves() {
         let dir = std::env::temp_dir().join(format!("apps-save-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let nic = LiveNic::new(2, 4096);
-        let injector = {
-            let nic = Arc::clone(&nic);
-            std::thread::spawn(move || inject_and_stop(&nic, 2_000))
-        };
-        let out = run(
-            Arc::clone(&nic),
-            cfg(),
-            SinkMode::Disk(DiskSinkConfig::new(&dir)),
-        );
-        injector.join().unwrap();
-        assert_eq!(out.delivered_packets, 2_000);
-        assert!(out.is_conserved(), "{out:?}");
-        assert_eq!(out.written_packets() + out.disk_drop_packets(), 2_000);
+        let nic = NicSimBackend::new(LiveNic::new(2, 4096));
+        let sink = SinkMode::Disk(DiskSinkConfig::new(&dir));
+        let out = run(nic, cfg(), sink, traffic(2_000), 0);
+        let disk = out.disk.as_ref().expect("disk mode");
+        assert_eq!(out.delivered, 2_000);
+        assert!(disk.is_conserved(), "{disk:?}");
+        assert_eq!(disk.written_packets() + disk.dropped_packets(), 2_000);
         let tel_written: u64 = out
             .snapshot
             .queues
             .iter()
             .map(|q| q.disk_written_packets)
             .sum();
-        assert_eq!(tel_written, out.written_packets());
+        assert_eq!(tel_written, disk.written_packets());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

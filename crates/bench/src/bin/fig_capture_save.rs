@@ -10,9 +10,9 @@
 //! property: capture stays lossless no matter how overloaded the disk
 //! is.
 //!
-//! Injection is paced to the target packet rate (spin-sleep on a
-//! deadline schedule), so "offered load" means wall-clock rate, not
-//! memory-speed flooding.
+//! Injection is paced to the target packet rate (the harness pacer:
+//! 64-packet bursts released against the wall clock), so "offered
+//! load" means wall-clock rate, not memory-speed flooding.
 
 use apps::save::run;
 use bench::{pct, write_json, write_table, Opts};
@@ -21,9 +21,7 @@ use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use serde::Serialize;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use wirecap::WireCapConfig;
+use wirecap::{NicSimBackend, WireCapConfig};
 
 /// Emulated disk bandwidth every point writes against, bytes/s.
 const DISK_BPS: u64 = 8_000_000;
@@ -50,7 +48,6 @@ fn run_point(offered_pps: u64, secs: f64, dir: &std::path::Path) -> Point {
     std::fs::remove_dir_all(dir).ok();
     let total = ((offered_pps as f64 * secs) as u64).max(1);
     let queues = 2;
-    let nic = LiveNic::new(queues, 8192);
     let mut cfg = WireCapConfig::basic(64, 48, 0);
     cfg.capture_timeout_ns = 2_000_000;
     let mut sink = DiskSinkConfig::new(dir);
@@ -60,50 +57,25 @@ fn run_point(offered_pps: u64, secs: f64, dir: &std::path::Path) -> Point {
     };
     sink.handoff_chunks = 8;
     sink.max_write_bps = Some(DISK_BPS);
-    let injector = {
-        let nic = Arc::clone(&nic);
-        std::thread::spawn(move || {
-            let mut b = PacketBuilder::new();
-            let start = Instant::now();
-            let gap_ns = 1_000_000_000 / offered_pps.max(1);
-            for i in 0..total {
-                // Deadline pacing: sleep toward each packet's due time,
-                // spin the last stretch for accuracy.
-                let due = start + Duration::from_nanos(i * gap_ns);
-                loop {
-                    let now = Instant::now();
-                    if now >= due {
-                        break;
-                    }
-                    let left = due - now;
-                    if left > Duration::from_micros(200) {
-                        std::thread::sleep(left - Duration::from_micros(100));
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-                let flow = FlowKey::udp(
-                    Ipv4Addr::new(10, (i >> 8) as u8 & 0x7f, i as u8, 1),
-                    (1_000 + i % 50_000) as u16,
-                    Ipv4Addr::new(131, 225, 2, 1),
-                    443,
-                );
-                let pkt = b.build_packet(i * gap_ns, &flow, PAYLOAD).unwrap();
-                while nic.inject(pkt.clone()).is_none() {
-                    std::thread::yield_now();
-                }
-            }
-            nic.stop();
-        })
-    };
-    let out = run(Arc::clone(&nic), cfg, SinkMode::Disk(sink));
-    injector.join().unwrap();
+    let gap_ns = 1_000_000_000 / offered_pps.max(1);
+    let mut b = PacketBuilder::new();
+    let traffic = (0..total).map(move |i| {
+        let flow = FlowKey::udp(
+            Ipv4Addr::new(10, (i >> 8) as u8 & 0x7f, i as u8, 1),
+            (1_000 + i % 50_000) as u16,
+            Ipv4Addr::new(131, 225, 2, 1),
+            443,
+        );
+        b.build_packet(i * gap_ns, &flow, PAYLOAD).unwrap()
+    });
+    let backend = NicSimBackend::new(LiveNic::new(queues, 8192));
+    let out = run(backend, cfg, SinkMode::Disk(sink), traffic, offered_pps);
     let report = out.disk.as_ref().expect("disk mode");
     assert!(
-        out.is_conserved(),
+        report.is_conserved(),
         "unaccounted packets at {offered_pps} pps: {report:?}"
     );
-    let delivered = out.delivered_packets;
+    let delivered = out.delivered;
     let dropped = report.dropped_packets();
     // Rough on-disk bytes per packet (EPB framing + Ethernet/IP/UDP
     // headers), used only for the offered/disk ratio column.
@@ -115,7 +87,7 @@ fn run_point(offered_pps: u64, secs: f64, dir: &std::path::Path) -> Point {
         delivered,
         written: report.written_packets(),
         disk_dropped: dropped,
-        capture_dropped: out.capture_drop_packets,
+        capture_dropped: out.snapshot.total().capture_drop_packets,
         files: report.files().len(),
         disk_loss_rate: if delivered == 0 {
             0.0

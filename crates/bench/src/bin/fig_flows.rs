@@ -5,11 +5,12 @@
 //! traffic and reports end-to-end delivered pps with the per-worker
 //! [`flowstat::FlowSink`] stage enabled: exact set-associative flow
 //! table, top-K candidate tracking, and the per-chunk telemetry flush,
-//! exactly as `run_pooled_flows` wires them. Every point asserts flow
-//! conservation (each delivered packet lands in exactly one live or
-//! eviction-folded flow count) before its rate is reported, and points
-//! without table eviction additionally check the merged top-16 against
-//! the trace's ground truth.
+//! exactly as `run_pooled_flows` wires them. The trace is rendered
+//! lazily as it is injected, so no point materializes its packets.
+//! Every point asserts flow conservation (each delivered packet lands
+//! in exactly one live or eviction-folded flow count) before its rate
+//! is reported, and points without table eviction additionally check
+//! the merged top-16 against the trace's ground truth.
 //!
 //! `--small` runs a single reduced point (the CI smoke configuration
 //! `scripts/check.sh` uses).
@@ -20,8 +21,6 @@ use flowstat::{FlowSinkConfig, PackedFlowKey};
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use serde::Serialize;
-use std::sync::Arc;
-use std::time::Instant;
 use traffic::{generate_border_trace, BorderTraceConfig, Trace};
 use wirecap::WireCapConfig;
 
@@ -82,7 +81,7 @@ fn assert_conserved(report: &FlowReport, injected: u64) {
         report.tracked_packets, report.processed,
         "every processed packet was recorded"
     );
-    let pool_packets: u64 = report.workers.iter().map(|w| w.packets).sum();
+    let pool_packets: u64 = report.run.workers.iter().map(|w| w.packets).sum();
     assert_eq!(pool_packets, report.processed, "pool reports disagree");
     assert!(
         report.evicted_packets <= report.tracked_packets,
@@ -90,30 +89,22 @@ fn assert_conserved(report: &FlowReport, injected: u64) {
     );
 }
 
-fn run_point(trace: &Arc<Trace>, flows: usize, workers: usize) -> FlowPoint {
+fn run_point(trace: &Trace, flows: usize, workers: usize) -> FlowPoint {
     let injected = trace.len() as u64;
-    let nic = LiveNic::new(QUEUES, 4096);
-    let injector = {
-        let nic = Arc::clone(&nic);
-        let trace = Arc::clone(trace);
-        std::thread::spawn(move || {
-            let mut b = PacketBuilder::new();
-            for r in trace.records() {
-                let pkt = trace.render(&mut b, r);
-                while nic.inject(pkt.clone()).is_none() {
-                    std::thread::yield_now();
-                }
-            }
-            nic.stop();
-        })
-    };
     let mut cfg = WireCapConfig::basic(64, 32, 0);
     cfg.capture_timeout_ns = 2_000_000;
     let flow_cfg = FlowSinkConfig::default();
-    let start = Instant::now();
-    let report = run_pooled_flows(Arc::clone(&nic), cfg, FILTER_X, workers, flow_cfg, K);
-    injector.join().expect("injector panicked");
-    let elapsed = start.elapsed().as_secs_f64();
+    let mut b = PacketBuilder::new();
+    let report = run_pooled_flows(
+        wirecap::NicSimBackend::new(LiveNic::new(QUEUES, 4096)),
+        cfg,
+        FILTER_X,
+        workers,
+        flow_cfg,
+        K,
+        trace.records().iter().map(|r| trace.render(&mut b, r)),
+    );
+    let elapsed = report.run.elapsed_s;
 
     assert_conserved(&report, injected);
     let exact_top16 = if report.evicted_flows == 0 {
@@ -181,7 +172,7 @@ fn main() {
             (flows * 3).max(1_000_000)
         };
         eprintln!("fig_flows: generating border trace, {flows} flows, {packets} packets");
-        let trace = Arc::new(trace_for(flows, packets));
+        let trace = trace_for(flows, packets);
         for &w in &worker_counts {
             eprintln!("fig_flows: {flows} flows x {w} worker(s)");
             let p = run_point(&trace, flows, w);

@@ -16,16 +16,11 @@
 //! pipeline scrapes, quantiles interpolated sub-bucket. Conservation
 //! is asserted before any number is reported.
 
-use crate::scaling::{assert_conserved, FRAME};
-use netproto::{FlowKey, Packet, PacketBuilder};
+use crate::scaling::single_flow;
+use apps::live::{drive, Consumers};
 use nicsim::livenic::LiveNic;
 use serde::Serialize;
-use std::net::Ipv4Addr;
-use std::sync::Arc;
-use std::time::Instant;
 use telemetry::HistogramSnapshot;
-use wirecap::buddy::BuddyGroups;
-use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::WireCapConfig;
 
@@ -69,99 +64,45 @@ pub struct LatencyPoint {
     pub backlog_bound_ns: Option<u64>,
 }
 
-/// Single-flow traffic: everything lands on queue 0, so one consumer's
-/// backlog is the whole story.
-fn traffic(n: u64) -> Vec<Packet> {
-    let mut b = PacketBuilder::new();
-    let flow = FlowKey::udp(
-        Ipv4Addr::new(10, 7, 7, 7),
-        7_777,
-        Ipv4Addr::new(131, 225, 2, 1),
-        443,
-    );
-    (0..n)
-        .map(|i| b.build_packet(i * 1_000, &flow, FRAME).unwrap())
-        .collect()
-}
-
 /// Runs one latency point: `r` pool chunks, injection paced at
 /// `offered_pps` (0 = as fast as the NIC accepts), one queue, one pool
 /// worker with the blocking per-chunk stage.
 pub fn latency_point(r: usize, offered_pps: u64, packets: u64) -> LatencyPoint {
     let mut cfg = WireCapConfig::basic(M, r, 0);
     cfg.capture_timeout_ns = 2_000_000;
-
-    let traffic = traffic(packets);
-    let nic = LiveNic::new(1, 4096);
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg)
-        .groups(BuddyGroups::single(1))
-        .start();
-    let group = wirecap::BuddyGroup::all(1);
-    let start = Instant::now();
-    let pool = engine.consumer_pool(&group, 1, move |d| {
-        // Touch every payload byte (the cache-facing read), then the
-        // deterministic blocking stage.
-        let mut acc = 0u64;
-        for p in d.view().iter() {
-            for b in p.data {
-                acc = acc.rotate_left(7).wrapping_add(u64::from(*b));
+    let consumers = Consumers::pool(1, |_| {
+        |d: wirecap::PoolDelivery<'_>| {
+            // Touch every payload byte (the cache-facing read), then
+            // the deterministic blocking stage.
+            let mut acc = 0u64;
+            for p in d.view().iter() {
+                for b in p.data {
+                    acc = acc.rotate_left(7).wrapping_add(u64::from(*b));
+                }
             }
+            std::hint::black_box(acc);
+            std::thread::sleep(std::time::Duration::from_micros(CHUNK_IO_US));
         }
-        std::hint::black_box(acc);
-        std::thread::sleep(std::time::Duration::from_micros(CHUNK_IO_US));
     });
-    // Paced injection: bursts of PACE_BURST packets scheduled against
-    // the wall clock, so the offered rate holds without a per-packet
-    // clock spin. Saturating mode just pushes as fast as the ring
-    // accepts (backpressure spins).
-    const PACE_BURST: u64 = 64;
-    let gap_ns_per_burst = if offered_pps > 0 {
-        PACE_BURST as f64 * 1e9 / offered_pps as f64
-    } else {
-        0.0
-    };
-    for (i, pkt) in traffic.iter().enumerate() {
-        if gap_ns_per_burst > 0.0 && (i as u64).is_multiple_of(PACE_BURST) {
-            let due = start
-                + std::time::Duration::from_nanos(
-                    ((i as u64 / PACE_BURST) as f64 * gap_ns_per_burst) as u64,
-                );
-            while Instant::now() < due {
-                // Yield, don't spin: on small machines the pacer
-                // shares a core with the capture and worker threads,
-                // and a spin-wait here starves the very pipeline
-                // being measured.
-                std::thread::yield_now();
-            }
-        }
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
-    nic.stop();
-    let reports = pool.join();
-    let elapsed = start.elapsed().as_secs_f64();
-    let observer = engine.observer();
-    engine.shutdown();
-    let snap = observer.snapshot();
-    assert_conserved(&snap, packets);
-    let delivered: u64 = reports.iter().map(|rep| rep.packets).sum();
-    assert_eq!(delivered, packets, "latency point delivered every packet");
+    let backend = NicSimBackend::new(LiveNic::new(1, 4096));
+    let run = drive(backend, cfg, consumers, single_flow(packets), offered_pps);
+    assert_eq!(
+        run.delivered, packets,
+        "latency point delivered every packet"
+    );
 
     // Engine-wide latency distribution: per-queue histograms merged,
     // quantiles interpolated (exactly what `SeriesSample` gauges).
     let mut latency = HistogramSnapshot::default();
-    for q in &snap.queues {
+    for q in &run.snapshot.queues {
         latency.merge(&q.latency_ns);
     }
-    let pps = delivered as f64 / elapsed;
+    let pps = run.delivered as f64 / run.elapsed_s;
     LatencyPoint {
         pool_chunks: r,
         offered_pps,
         packets,
-        elapsed_s: elapsed,
+        elapsed_s: run.elapsed_s,
         pps,
         samples: latency.count,
         p50_ns: latency.quantile(0.5),
@@ -186,18 +127,5 @@ mod tests {
             assert!(p.p50_ns <= p.p99_ns && p.p99_ns <= p.p999_ns);
             assert!(p.p999_ns <= p.max_ns);
         }
-    }
-
-    #[test]
-    fn paced_injection_holds_the_offered_rate() {
-        // 500 kp/s for 25k packets ≈ 50 ms floor; saturating would
-        // finish much faster. The ceiling check is loose (scheduling),
-        // the floor is the point.
-        let p = latency_point(64, 500_000, 25_000);
-        assert!(
-            p.elapsed_s >= 0.045,
-            "paced run finished implausibly fast: {}s",
-            p.elapsed_s
-        );
     }
 }

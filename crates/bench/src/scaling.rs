@@ -24,16 +24,14 @@
 //! * `captured + capture_drop == offered`
 //! * Σ `recycled_chunks` == Σ `sealed_chunks`
 
+use apps::live::{drive, Consumers, LiveRun};
 use netproto::{FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use serde::Serialize;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 use telemetry::EngineSnapshot;
-use wirecap::buddy::BuddyGroups;
-use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::WireCapConfig;
 
@@ -97,9 +95,11 @@ fn engine_config() -> WireCapConfig {
     cfg
 }
 
-/// Prebuilds the skewed traffic: one UDP flow, so RSS lands every
-/// packet on a single queue regardless of the queue count.
-fn skewed_traffic(n: u64) -> Vec<Packet> {
+/// Prebuilds `n` packets of one UDP flow, so RSS lands every packet on
+/// a single queue regardless of the queue count (the skewed workload
+/// here and the single-backlog workload of the `latency` sweep). Built
+/// before the run, so the clock times delivery, not packet building.
+pub fn single_flow(n: u64) -> Vec<Packet> {
     let mut b = PacketBuilder::new();
     let flow = FlowKey::udp(
         Ipv4Addr::new(10, 5, 5, 5),
@@ -113,66 +113,43 @@ fn skewed_traffic(n: u64) -> Vec<Packet> {
 }
 
 /// Asserts the engine's conservation laws over a finished run's
-/// snapshot (shared with the `latency` sweep — every reported data
-/// point passes through here first).
+/// snapshot (e2ebench checks every workload run with it).
 pub fn assert_conserved(snap: &EngineSnapshot, offered: u64) {
     if let Err(broken) = snap.check_conservation(offered) {
         panic!("{broken}");
     }
 }
 
+/// Runs the skewed workload over a `queues`-queue NIC into `consumers`
+/// (conservation is checked by [`drive`]).
+fn skewed_run(cfg: WireCapConfig, queues: usize, packets: u64, consumers: Consumers) -> LiveRun {
+    let backend = NicSimBackend::new(LiveNic::new(queues, 4096));
+    let run = drive(backend, cfg, consumers, single_flow(packets), 0);
+    assert_eq!(run.delivered, packets, "run delivered every packet");
+    run
+}
+
 /// Runs the per-queue baseline: one `LiveConsumer` thread bound to each
 /// queue, exactly the delivery topology every pre-pool example used.
 pub fn baseline_point(queues: usize, packets: u64) -> ScalingPoint {
-    let traffic = skewed_traffic(packets);
-    let nic = LiveNic::new(queues, 4096);
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(engine_config())
-        .groups(BuddyGroups::single(queues))
-        .start();
-    let start = Instant::now();
-    let consumers: Vec<_> = (0..queues)
-        .map(|q| {
-            let mut c = engine.consumer(q);
-            std::thread::spawn(move || {
-                let mut acc = 0u64;
-                let mut delivered = 0u64;
-                while let Some(chunk) = c.next_chunk() {
-                    for p in c.view(&chunk).iter() {
-                        acc ^= packet_work(p.data);
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(CHUNK_IO_US));
-                    delivered += chunk.len() as u64;
-                    c.recycle(chunk);
-                }
-                (delivered, acc)
-            })
-        })
-        .collect();
-    for pkt in &traffic {
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
+    let consumers = Consumers::per_queue(|_| {
+        let mut acc = 0u64;
+        move |view: wirecap::ChunkView<'_>| {
+            for p in view.iter() {
+                acc ^= packet_work(p.data);
+            }
+            std::hint::black_box(acc);
+            std::thread::sleep(Duration::from_micros(CHUNK_IO_US));
         }
-    }
-    nic.stop();
-    let delivered: u64 = consumers
-        .into_iter()
-        .map(|h| h.join().expect("consumer panicked").0)
-        .sum();
-    let elapsed = start.elapsed().as_secs_f64();
-    let observer = engine.observer();
-    engine.shutdown();
-    let snap = observer.snapshot();
-    assert_conserved(&snap, packets);
-    assert_eq!(delivered, packets, "baseline delivered every packet");
+    });
+    let run = skewed_run(engine_config(), queues, packets, consumers);
     ScalingPoint {
         mode: "per_queue",
         queues,
         workers: queues,
         packets,
-        elapsed_s: elapsed,
-        pps: delivered as f64 / elapsed,
+        elapsed_s: run.elapsed_s,
+        pps: run.delivered as f64 / run.elapsed_s,
         stolen_chunks: 0,
         worker_parks: 0,
         claim_contention: 0,
@@ -197,51 +174,29 @@ fn pool_point_with(
     workers: usize,
     packets: u64,
 ) -> ScalingPoint {
-    let traffic = skewed_traffic(packets);
-    let nic = LiveNic::new(queues, 4096);
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg)
-        .groups(BuddyGroups::single(queues))
-        .start();
-    let group = wirecap::BuddyGroup::all(queues);
-    let acc = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let pool = {
-        let acc = Arc::clone(&acc);
-        engine.consumer_pool(&group, workers, move |d| {
+    let acc = AtomicU64::new(0);
+    let consumers = Consumers::pool(workers, move |_| {
+        move |d: wirecap::PoolDelivery<'_>| {
             let mut local = 0u64;
             for p in d.view().iter() {
                 local ^= packet_work(p.data);
             }
-            std::thread::sleep(std::time::Duration::from_micros(CHUNK_IO_US));
+            std::thread::sleep(Duration::from_micros(CHUNK_IO_US));
             acc.fetch_add(local, Ordering::Relaxed);
-        })
-    };
-    for pkt in &traffic {
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
         }
-    }
-    nic.stop();
-    let reports = pool.join();
-    let elapsed = start.elapsed().as_secs_f64();
-    let observer = engine.observer();
-    engine.shutdown();
-    let snap = observer.snapshot();
-    assert_conserved(&snap, packets);
-    let delivered: u64 = reports.iter().map(|r| r.packets).sum();
-    assert_eq!(delivered, packets, "pool delivered every packet");
+    });
+    let run = skewed_run(cfg, queues, packets, consumers);
+    let reports = &run.workers;
     ScalingPoint {
         mode,
         queues,
         workers,
         packets,
-        elapsed_s: elapsed,
-        pps: delivered as f64 / elapsed,
+        elapsed_s: run.elapsed_s,
+        pps: run.delivered as f64 / run.elapsed_s,
         stolen_chunks: reports.iter().map(|r| r.stolen_chunks).sum(),
         worker_parks: reports.iter().map(|r| r.parks).sum(),
-        claim_contention: snap.queues.iter().map(|q| q.claim_contention).sum(),
+        claim_contention: run.snapshot.queues.iter().map(|q| q.claim_contention).sum(),
     }
 }
 

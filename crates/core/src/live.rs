@@ -169,6 +169,47 @@ pub(crate) struct Shared {
     pub(crate) reorder: Option<Vec<ReorderBuffer<LiveChunk>>>,
 }
 
+impl Shared {
+    /// Returns a chunk's sealed slot to its home pool (never full: only
+    /// R slots exist per queue; spin defensively anyway), then wakes a
+    /// capture thread parked on pool exhaustion.
+    pub(crate) fn recycle_home(&self, chunk: LiveChunk) {
+        let home = chunk.home();
+        let mut seal = chunk.seal;
+        while let Err(back) = self.recycle[home].push(seal) {
+            seal = back;
+            std::thread::yield_now();
+        }
+        self.capture_gate.notify();
+    }
+
+    /// Recycles a chunk that never reached an application (forced stop,
+    /// departing consumer). The recycle and the packets' delivery drop
+    /// are both charged to the chunk's home queue, where its capture and
+    /// delivery are counted too.
+    pub(crate) fn drop_chunk(&self, chunk: LiveChunk) {
+        let tel = self.tel.queue(chunk.home());
+        tel.app.recycled_chunks.add(1);
+        tel.cap.delivery_drop_packets.add(chunk.len() as u64);
+        self.recycle_home(chunk);
+    }
+
+    /// Retires a sampled chunk's span: its stage durations go to queue
+    /// `shard`'s single-writer histograms (skipped when the deliverer
+    /// owns no queue), the record to the shared span ring.
+    pub(crate) fn retire_span(&self, shard: Option<usize>, rec: SpanRecord) {
+        if let Some(q) = shard {
+            let app = &self.tel.queue(q).app;
+            app.stage_backend_ns.record(rec.stage_backend_ns);
+            app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
+            app.stage_claim_ns.record(rec.stage_claim_ns);
+            app.stage_reorder_ns.record(rec.stage_reorder_ns);
+            app.stage_deliver_ns.record(rec.stage_deliver_ns);
+        }
+        self.tel.spans().push(rec);
+    }
+}
+
 /// The live WireCAP engine: per-queue capture threads over any
 /// [`CaptureBackend`].
 pub struct LiveWireCap {
@@ -1091,13 +1132,7 @@ impl LiveConsumer {
                 &span,
                 self.delivered_ns.get().max(span.disk_write_ns),
             );
-            let app = &self.shared.tel.queue(self.q).app;
-            app.stage_backend_ns.record(rec.stage_backend_ns);
-            app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
-            app.stage_claim_ns.record(rec.stage_claim_ns);
-            app.stage_reorder_ns.record(rec.stage_reorder_ns);
-            app.stage_deliver_ns.record(rec.stage_deliver_ns);
-            self.shared.tel.spans().push(rec);
+            self.shared.retire_span(Some(self.q), rec);
         }
         let tracer = self.shared.tel.tracer();
         if tracer.is_enabled() {
@@ -1110,16 +1145,7 @@ impl LiveConsumer {
                 chunk.len() as u64,
             );
         }
-        // The recycle queue is sized R and only R slots exist, so this
-        // cannot stay full; spin defensively anyway.
-        let mut seal = chunk.seal;
-        while let Err(back) = self.shared.recycle[home].push(seal) {
-            seal = back;
-            std::thread::yield_now();
-        }
-        // A capture thread parked on pool exhaustion resumes as soon as
-        // a slot comes home (cheap when nobody is parked).
-        self.shared.capture_gate.notify();
+        self.shared.recycle_home(chunk);
     }
 }
 
@@ -1133,25 +1159,8 @@ impl Drop for LiveConsumer {
         // captured, claimed, but never handed to an application.
         // (Chunks still in the claim queue are not ours to recycle; a
         // successor consumer on this queue claims them there.)
-        let mut undelivered = 0u64;
         for chunk in self.pending.take().into_iter().chain(self.inbox.drain(..)) {
-            undelivered += chunk.len() as u64;
-            let home = chunk.home();
-            self.shared.tel.queue(home).app.recycled_chunks.add(1);
-            let mut seal = chunk.seal;
-            while let Err(back) = self.shared.recycle[home].push(seal) {
-                seal = back;
-                std::thread::yield_now();
-            }
-            self.shared.capture_gate.notify();
-        }
-        if undelivered > 0 {
-            self.shared
-                .tel
-                .queue(self.q)
-                .cap
-                .delivery_drop_packets
-                .add(undelivered);
+            self.shared.drop_chunk(chunk);
         }
         self.flush_tally();
     }
@@ -1304,6 +1313,8 @@ mod tests {
         let nic = LiveNic::new(queues, 4096);
         let mut cfg = test_cfg();
         cfg.in_order = in_order;
+        // Only full chunks: a slow injection must not seal a partial.
+        cfg.capture_timeout_ns = 10_000_000_000;
         let cap = start(&nic, cfg, BuddyGroups::single(queues));
         // One flow, so every chunk lands on the same queue.
         let flow = FlowKey::udp(

@@ -674,41 +674,9 @@ fn process_chunk(ctx: &WorkerCtx, report: &mut PoolWorkerReport, mut chunk: Live
             &span,
             span.deliver_end_ns,
         );
-        if let Some(&pq) = ctx.owned.first() {
-            let app = &ctx.shared.tel.queue(pq).app;
-            app.stage_backend_ns.record(rec.stage_backend_ns);
-            app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
-            app.stage_claim_ns.record(rec.stage_claim_ns);
-            app.stage_reorder_ns.record(rec.stage_reorder_ns);
-            app.stage_deliver_ns.record(rec.stage_deliver_ns);
-        }
-        ctx.shared.tel.spans().push(rec);
+        ctx.shared.retire_span(ctx.owned.first().copied(), rec);
     }
-    recycle_home(&ctx.shared, chunk);
-}
-
-/// Returns a chunk's sealed slot to its home pool (never full: only R
-/// slots exist per queue; spin defensively anyway).
-fn recycle_home(shared: &Shared, chunk: LiveChunk) {
-    let home = chunk.home();
-    let mut seal = chunk.seal;
-    while let Err(back) = shared.recycle[home].push(seal) {
-        seal = back;
-        std::thread::yield_now();
-    }
-    // Wake a capture thread parked on pool exhaustion (backpressure
-    // leaves packets in the NIC ring until a slot comes home).
-    shared.capture_gate.notify();
-}
-
-/// Recycles a chunk that will never reach the handler (forced stop),
-/// accounting its packets as delivery drops.
-fn drop_chunk(shared: &Shared, chunk: LiveChunk) {
-    let home = chunk.home();
-    let tel = shared.tel.queue(home);
-    tel.app.recycled_chunks.add(1);
-    tel.cap.delivery_drop_packets.add(chunk.len() as u64);
-    recycle_home(shared, chunk);
+    ctx.shared.recycle_home(chunk);
 }
 
 /// The pool worker loop: every worker claims sealed chunks straight off
@@ -841,7 +809,7 @@ fn deliver_claimed(
     // reorder buffer — ordering is void during teardown, and the stop
     // sweep may already have passed this buffer.
     if ctx.stop.load(Ordering::SeqCst) {
-        drop_chunk(&ctx.shared, chunk);
+        ctx.shared.drop_chunk(chunk);
         return;
     }
     let buf = &ro[chunk.home()];
@@ -872,7 +840,7 @@ fn stop_drain(
     for &q in &ctx.members {
         loop {
             match claims[q].try_claim() {
-                Claim::Claimed(chunk) => drop_chunk(&ctx.shared, chunk),
+                Claim::Claimed(chunk) => ctx.shared.drop_chunk(chunk),
                 Claim::Contended => std::hint::spin_loop(),
                 Claim::Empty => break,
             }
@@ -881,7 +849,7 @@ fn stop_drain(
     if let Some(ro) = reorder {
         for &q in &ctx.members {
             for chunk in ro[q].take_stranded() {
-                drop_chunk(&ctx.shared, chunk);
+                ctx.shared.drop_chunk(chunk);
             }
             ctx.shared.tel.queue(q).pool.reorder_occupancy.set(0);
         }

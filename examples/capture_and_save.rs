@@ -23,8 +23,7 @@ use capdisk::{read_pcapng, DiskSinkConfig, RotationPolicy, SinkMode};
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
-use wirecap::WireCapConfig;
+use wirecap::{NicSimBackend, WireCapConfig};
 
 const QUEUES: usize = 3;
 
@@ -32,7 +31,6 @@ fn main() {
     let dir = std::env::temp_dir().join("wirecap_capture_and_save");
     std::fs::remove_dir_all(&dir).ok();
 
-    let nic = LiveNic::new(QUEUES, 4096);
     let mut cfg = WireCapConfig::basic(64, 48, 0);
     cfg.capture_timeout_ns = 2_000_000;
 
@@ -44,34 +42,25 @@ fn main() {
         max_file_duration: None,
     };
 
-    // The harness owns the engine + sink threads; we own injection.
+    // The harness owns the engine, the sink threads and injection.
     let total = 10_000u64;
-    let injector = {
-        let nic = Arc::clone(&nic);
-        std::thread::spawn(move || {
-            let mut builder = PacketBuilder::new();
-            for i in 0..total {
-                let flow = FlowKey::udp(
-                    Ipv4Addr::new(131, 225, 2, (i % 200) as u8 + 1),
-                    (9_000 + i % 2_000) as u16,
-                    Ipv4Addr::new(8, 8, 8, 8),
-                    53,
-                );
-                let pkt = builder.build_packet(i * 5_000, &flow, 300).unwrap();
-                while nic.inject(pkt.clone()).is_none() {
-                    std::thread::yield_now();
-                }
-            }
-            nic.stop();
-        })
-    };
-    let out = apps::save::run(Arc::clone(&nic), cfg, SinkMode::Disk(sink));
-    injector.join().unwrap();
+    let mut builder = PacketBuilder::new();
+    let traffic = (0..total).map(move |i| {
+        let flow = FlowKey::udp(
+            Ipv4Addr::new(131, 225, 2, (i % 200) as u8 + 1),
+            (9_000 + i % 2_000) as u16,
+            Ipv4Addr::new(8, 8, 8, 8),
+            53,
+        );
+        builder.build_packet(i * 5_000, &flow, 300).unwrap()
+    });
+    let nic = NicSimBackend::new(LiveNic::new(QUEUES, 4096));
+    let out = apps::save::run(nic, cfg, SinkMode::Disk(sink), traffic, 0);
 
     let report = out.disk.as_ref().expect("disk mode");
     println!(
         "delivered {} packets; wrote {} ({} bytes) across {} files; disk dropped {}",
-        out.delivered_packets,
+        out.delivered,
         report.written_packets(),
         report.written_bytes(),
         report.files().len(),
@@ -89,8 +78,8 @@ fn main() {
     }
 
     // Zero unaccounted packets: in == written + disk_drop, exactly.
-    assert!(out.is_conserved(), "conservation violated: {report:?}");
-    assert_eq!(out.delivered_packets, total);
+    assert!(report.is_conserved(), "conservation violated: {report:?}");
+    assert_eq!(out.delivered, total);
     assert_eq!(report.written_packets() + report.dropped_packets(), total);
 
     // The rotation policy split the stream, and every file is a

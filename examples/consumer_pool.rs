@@ -30,16 +30,12 @@
 //! cargo run --release --example consumer_pool
 //! ```
 
-use netproto::{FlowKey, PacketBuilder};
+use apps::live::{drive, Consumers, LiveRun};
+use netproto::{FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use wirecap::buddy::BuddyGroups;
-use wirecap::live::LiveWireCap;
-use wirecap::NicSimBackend;
-use wirecap::{BuddyGroup, WireCapConfig};
+use std::time::Duration;
+use wirecap::{NicSimBackend, WireCapConfig};
 
 const QUEUES: usize = 4;
 const WORKERS: usize = 4;
@@ -71,7 +67,7 @@ fn config() -> WireCapConfig {
 
 /// Everything lands on one queue: a single UDP flow hashes to a single
 /// RSS bucket no matter how many queues the NIC has.
-fn inject_skewed(nic: &Arc<LiveNic>) {
+fn skewed() -> impl Iterator<Item = Packet> {
     let mut b = PacketBuilder::new();
     let flow = FlowKey::udp(
         Ipv4Addr::new(131, 225, 2, 7),
@@ -79,79 +75,30 @@ fn inject_skewed(nic: &Arc<LiveNic>) {
         Ipv4Addr::new(10, 0, 0, 1),
         443,
     );
-    for i in 0..PACKETS {
-        let pkt = b.build_packet(i * 1_000, &flow, 128).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
-    nic.stop();
+    (0..PACKETS).map(move |i| b.build_packet(i * 1_000, &flow, 128).unwrap())
+}
+
+/// The skewed workload through `consumers` on a fresh engine.
+fn skewed_run(consumers: Consumers) -> LiveRun {
+    let backend = NicSimBackend::new(LiveNic::new(QUEUES, 4096));
+    drive(backend, config(), consumers, skewed(), 0)
 }
 
 /// One consumer thread bound to each queue.
 fn per_queue_run() -> (u64, f64) {
-    let nic = LiveNic::new(QUEUES, 4096);
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(config())
-        .groups(BuddyGroups::single(QUEUES))
-        .start();
-    let start = Instant::now();
-    let consumers: Vec<_> = (0..QUEUES)
-        .map(|q| {
-            let mut c = engine.consumer(q);
-            std::thread::spawn(move || {
-                let mut delivered = 0u64;
-                while let Some(chunk) = c.next_chunk() {
-                    for pkt in c.view(&chunk).iter() {
-                        delivered += u64::from(!pkt.data.is_empty());
-                    }
-                    std::thread::sleep(CHUNK_IO);
-                    c.recycle(chunk);
-                }
-                delivered
-            })
-        })
-        .collect();
-    inject_skewed(&nic);
-    let delivered: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-    let elapsed = start.elapsed().as_secs_f64();
-    engine.shutdown();
-    (delivered, elapsed)
+    let run = skewed_run(Consumers::per_queue(|_| |_| std::thread::sleep(CHUNK_IO)));
+    (run.delivered, run.elapsed_s)
 }
 
 /// A pool of workers claiming from all queues, parking adaptively.
 fn pooled_run() -> (u64, u64, u64, f64) {
-    let nic = LiveNic::new(QUEUES, 4096);
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(config())
-        .groups(BuddyGroups::single(QUEUES))
-        .start();
-    let group = BuddyGroup::all(QUEUES);
-    let delivered = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let pool = {
-        let delivered = Arc::clone(&delivered);
-        engine.consumer_pool(&group, WORKERS, move |d| {
-            let mut n = 0u64;
-            for pkt in d.view().iter() {
-                n += u64::from(!pkt.data.is_empty());
-            }
-            std::thread::sleep(CHUNK_IO);
-            delivered.fetch_add(n, Ordering::Relaxed);
-        })
-    };
-    inject_skewed(&nic);
-    let reports = pool.join();
-    let elapsed = start.elapsed().as_secs_f64();
-    let observer = engine.observer();
-    let spans = observer.spans();
-    let snap = observer.snapshot();
-    engine.shutdown();
+    let run = skewed_run(Consumers::pool(WORKERS, |_| {
+        |_| std::thread::sleep(CHUNK_IO)
+    }));
+    let (reports, spans, snap) = (&run.workers, &run.spans, &run.snapshot);
     let stolen: u64 = reports.iter().map(|r| r.stolen_chunks).sum();
     let parks: u64 = reports.iter().map(|r| r.parks).sum();
-    for r in &reports {
+    for r in reports {
         println!(
             "  worker {}: {:>6} packets in {:>3} chunks ({} stolen, {} parks)",
             r.worker, r.packets, r.chunks, r.stolen_chunks, r.parks
@@ -192,7 +139,7 @@ fn pooled_run() -> (u64, u64, u64, f64) {
     }
 
     // Export the run as Chrome trace-event JSON for Perfetto.
-    let trace = telemetry::chrome_trace_json(&spans, &snap.workers);
+    let trace = telemetry::chrome_trace_json(spans, &snap.workers);
     let out = std::path::Path::new("target/consumer_pool-trace.json");
     match std::fs::write(out, trace.as_bytes()) {
         Ok(()) => println!(
@@ -203,7 +150,7 @@ fn pooled_run() -> (u64, u64, u64, f64) {
         Err(e) => println!("\n  could not write {}: {e}", out.display()),
     }
 
-    (delivered.load(Ordering::Relaxed), stolen, parks, elapsed)
+    (run.delivered, stolen, parks, run.elapsed_s)
 }
 
 fn main() {

@@ -18,72 +18,63 @@
 //! cargo run --release --example ids_monitor
 //! ```
 
+use apps::live::{drive, Consumers};
 use apps::PktHandler;
-use netproto::{parse_frame, FlowKey, PacketBuilder};
+use netproto::{parse_frame, FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
-use wirecap::buddy::BuddyGroups;
-use wirecap::live::LiveWireCap;
-use wirecap::NicSimBackend;
-use wirecap::WireCapConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use wirecap::{ChunkView, NicSimBackend, WireCapConfig};
 
 const QUEUES: usize = 4;
 
+/// Destination ports seen per source address, across every queue.
+type PortMap = HashMap<Ipv4Addr, BTreeSet<u16>>;
+
 fn main() {
-    let nic = LiveNic::new(QUEUES, 8192);
     let mut cfg = WireCapConfig::advanced(64, 128, 0.6, 0); // 8k-packet pools
     cfg.capture_timeout_ns = 2_000_000;
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg)
-        .groups(BuddyGroups::single(QUEUES))
-        .start();
 
     // Analysis threads: pkt_handler + a port-scan detector counting
     // distinct destination ports per source address.
-    let analysts: Vec<_> = (0..QUEUES)
-        .map(|q| {
-            let mut consumer = engine.consumer(q);
-            std::thread::spawn(move || {
-                let mut handler = PktHandler::paper(3);
-                let mut ports_by_src: HashMap<Ipv4Addr, Vec<u16>> = HashMap::new();
+    let counts: Arc<Vec<[AtomicU64; 2]>> =
+        Arc::new((0..QUEUES).map(|_| Default::default()).collect());
+    let ports_by_src: Arc<Mutex<PortMap>> = Arc::default();
+    let consumers = {
+        let counts = Arc::clone(&counts);
+        let ports_by_src = Arc::clone(&ports_by_src);
+        Consumers::per_queue(move |q| {
+            let counts = Arc::clone(&counts);
+            let ports_by_src = Arc::clone(&ports_by_src);
+            let mut handler = PktHandler::paper(3);
+            move |view: ChunkView<'_>| {
+                let mut ports = ports_by_src.lock().expect("port map poisoned");
                 let mut matched = 0u64;
-                while let Some(chunk) = consumer.next_chunk() {
-                    // Analysis runs on borrowed arena slices — no copy.
-                    for pkt in consumer.view(&chunk).iter() {
-                        if handler.handle_bytes(pkt.data) {
-                            matched += 1;
-                        }
-                        if let Ok(parsed) = parse_frame(pkt.data) {
-                            if let Some(flow) = parsed.flow {
-                                let ports = ports_by_src.entry(flow.src_ip).or_default();
-                                if !ports.contains(&flow.dst_port) {
-                                    ports.push(flow.dst_port);
-                                }
-                            }
-                        }
+                // Analysis runs on borrowed arena slices — no copy.
+                for pkt in view.iter() {
+                    matched += u64::from(handler.handle_bytes(pkt.data));
+                    if let Some(flow) = parse_frame(pkt.data).ok().and_then(|p| p.flow) {
+                        ports.entry(flow.src_ip).or_default().insert(flow.dst_port);
                     }
-                    consumer.recycle(chunk);
                 }
-                let scanners: Vec<(Ipv4Addr, usize)> = ports_by_src
-                    .into_iter()
-                    .filter(|(_, p)| p.len() >= 50)
-                    .map(|(ip, p)| (ip, p.len()))
-                    .collect();
-                (q, handler.processed(), matched, scanners)
-            })
+                counts[q][0].fetch_add(view.len() as u64, Ordering::Relaxed);
+                counts[q][1].fetch_add(matched, Ordering::Relaxed);
+            }
         })
-        .collect();
+    };
 
     // Traffic: a benign baseline spread over many flows, one heavy UDP
     // stream into the monitored prefix (this pins one queue — the
     // imbalance the buddy group absorbs), and a port scanner.
     let mut builder = PacketBuilder::new();
     let mut ts = 0u64;
-    let mut total = 0u64;
-
+    let mut traffic: Vec<Packet> = Vec::new();
+    let mut push = |gap: u64, flow: &FlowKey, len: usize| {
+        ts += gap;
+        traffic.push(builder.build_packet(ts, flow, len).unwrap());
+    };
     // Benign flows.
     for i in 0..2_000u16 {
         let flow = FlowKey::tcp(
@@ -92,27 +83,17 @@ fn main() {
             Ipv4Addr::new(131, 225, 9, 40),
             443,
         );
-        ts += 700;
-        inject(&nic, builder.build_packet(ts, &flow, 512).unwrap());
-        total += 1;
+        push(700, &flow, 512);
     }
-    // The elephant: one flow, one queue, 6 000 packets. Injection is
-    // lightly paced so the wire rate stays within what three analysis
-    // threads on a busy CI box can absorb — the point here is the
-    // offloading behaviour, not overload drops.
+    // The elephant: one flow, one queue, 6 000 packets.
     let elephant = FlowKey::udp(
         Ipv4Addr::new(192, 0, 2, 99),
         55_555,
         Ipv4Addr::new(131, 225, 2, 14),
         2_811,
     );
-    for i in 0..6_000u64 {
-        ts += 300;
-        inject(&nic, builder.build_packet(ts, &elephant, 1024).unwrap());
-        total += 1;
-        if i % 512 == 511 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+    for _ in 0..6_000 {
+        push(300, &elephant, 1024);
     }
     // The scanner: one source sweeping 200 ports.
     for port in 1..=200u16 {
@@ -122,26 +103,33 @@ fn main() {
             Ipv4Addr::new(131, 225, 2, 5),
             port,
         );
-        ts += 900;
-        inject(&nic, builder.build_packet(ts, &probe, 64).unwrap());
-        total += 1;
+        push(900, &probe, 64);
     }
-    nic.stop();
+    // Injection is lightly paced so the wire rate stays within what
+    // the analysis threads on a busy CI box can absorb — the point
+    // here is the offloading behaviour, not overload drops.
+    let backend = NicSimBackend::new(LiveNic::new(QUEUES, 8192));
+    let run = drive(backend, cfg, consumers, traffic, 500_000);
 
     let mut processed = 0u64;
     let mut matched = 0u64;
-    let mut alerts = Vec::new();
-    for a in analysts {
-        let (q, p, m, scanners) = a.join().expect("analysis thread");
+    for (q, [p, m]) in counts.iter().enumerate() {
+        let (p, m) = (p.load(Ordering::Relaxed), m.load(Ordering::Relaxed));
         println!("queue {q}: processed {p} packets ({m} matched the filter)");
         processed += p;
         matched += m;
-        alerts.extend(scanners);
     }
-    let tel = engine.snapshot().total();
+    let alerts: Vec<(Ipv4Addr, usize)> = ports_by_src
+        .lock()
+        .expect("port map poisoned")
+        .iter()
+        .filter(|(_, p)| p.len() >= 50)
+        .map(|(ip, p)| (*ip, p.len()))
+        .collect();
+    let tel = run.snapshot.total();
+    let total = run.offered;
     let offloaded = tel.offloaded_in_chunks;
     let dropped = tel.capture_drop_packets;
-    engine.shutdown();
 
     println!("---");
     println!("injected {total}, processed {processed}, dropped {dropped}");
@@ -153,10 +141,4 @@ fn main() {
     assert_eq!(processed, total, "lossless capture");
     assert!(!alerts.is_empty(), "the scanner must be detected");
     assert!(matched >= 6_000, "the elephant matches the paper filter");
-}
-
-fn inject(nic: &Arc<LiveNic>, pkt: netproto::Packet) {
-    while nic.inject(pkt.clone()).is_none() {
-        std::thread::yield_now();
-    }
 }

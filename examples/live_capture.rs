@@ -16,62 +16,43 @@
 //! duration of the run (DESIGN.md §4.9); `WIRECAP_TELEMETRY_SAMPLE_MS=0`
 //! disables the sampler thread for latency-critical runs.
 
+use apps::live::{drive, Consumers};
 use netproto::{FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use pcap::savefile::{self, Precision};
 use std::net::Ipv4Addr;
 use std::sync::mpsc;
-use std::sync::Arc;
-use wirecap::buddy::BuddyGroups;
-use wirecap::live::LiveWireCap;
-use wirecap::NicSimBackend;
-use wirecap::WireCapConfig;
+use wirecap::{ChunkView, NicSimBackend, WireCapConfig};
 
 const QUEUES: usize = 3;
 
 fn main() {
-    let nic = LiveNic::new(QUEUES, 4096);
     let mut cfg = WireCapConfig::basic(64, 48, 0);
     cfg.capture_timeout_ns = 2_000_000;
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg)
-        .groups(BuddyGroups::isolated(QUEUES))
-        .start();
 
     // One consumer thread per queue, all feeding a single writer.
     let (tx, rx) = mpsc::channel::<Packet>();
-    let consumers: Vec<_> = (0..QUEUES)
-        .map(|q| {
-            let mut c = engine.consumer(q);
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let mut n = 0u64;
-                while let Some(chunk) = c.next_chunk() {
-                    // The savefile writer outlives the chunk, so each
-                    // frame is copied out of the arena into an owned
-                    // packet — the price of keeping bytes past recycle.
-                    for pkt in c.view(&chunk).iter() {
-                        let owned = Packet {
-                            ts_ns: pkt.ts_ns,
-                            wire_len: pkt.wire_len,
-                            data: bytes::Bytes::copy_from_slice(pkt.data),
-                        };
-                        tx.send(owned).expect("writer alive");
-                        n += 1;
-                    }
-                    c.recycle(chunk);
-                }
-                n
-            })
-        })
-        .collect();
-    drop(tx);
+    let consumers = Consumers::per_queue(move |_| {
+        let tx = tx.clone();
+        move |view: ChunkView<'_>| {
+            // The savefile writer outlives the chunk, so each frame is
+            // copied out of the arena into an owned packet — the price
+            // of keeping bytes past recycle.
+            for pkt in view.iter() {
+                let owned = Packet {
+                    ts_ns: pkt.ts_ns,
+                    wire_len: pkt.wire_len,
+                    data: bytes::Bytes::copy_from_slice(pkt.data),
+                };
+                tx.send(owned).expect("writer alive");
+            }
+        }
+    });
 
-    // Inject a mixed workload.
+    // A mixed workload.
     let mut builder = PacketBuilder::new();
     let total = 4_000u64;
-    for i in 0..total {
+    let traffic = (0..total).map(move |i| {
         let flow = if i % 3 == 0 {
             FlowKey::udp(
                 Ipv4Addr::new(131, 225, 2, (i % 200) as u8 + 1),
@@ -87,17 +68,13 @@ fn main() {
                 443,
             )
         };
-        let pkt = builder.build_packet(i * 5_000, &flow, 200).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
-    nic.stop();
+        builder.build_packet(i * 5_000, &flow, 200).unwrap()
+    });
+    let backend = NicSimBackend::new(LiveNic::new(QUEUES, 4096));
+    let captured = drive(backend, cfg, consumers, traffic, 0).delivered;
 
     // Collect, sort by timestamp (streams interleave), and write pcap.
     let mut packets: Vec<Packet> = rx.iter().collect();
-    let captured: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-    engine.shutdown();
     packets.sort_by_key(|p| p.ts_ns);
 
     let path = std::env::temp_dir().join("wirecap_live_capture.pcap");

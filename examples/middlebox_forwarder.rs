@@ -25,28 +25,20 @@
 //! ```
 
 use apps::forwarder::{Middlebox, Verdict};
+use apps::live::{drive, Consumers};
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wirecap::buddy::BuddyGroups;
-use wirecap::live::LiveWireCap;
-use wirecap::NicSimBackend;
-use wirecap::{BuddyGroup, WireCapConfig};
+use wirecap::{NicSimBackend, WireCapConfig};
 
 fn main() {
     // NIC1 faces the traffic source; NIC2 faces the next hop.
-    let nic1 = LiveNic::new(2, 8192);
     let nic2 = LiveNic::new(2, 8192);
     let mut cfg = WireCapConfig::advanced(64, 64, 0.6, 0).forwarding();
     cfg.capture_timeout_ns = 2_000_000;
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic1)))
-        .config(cfg)
-        .groups(BuddyGroups::single(2))
-        .start();
 
     // The middlebox: a pool of two workers over both NIC1 queues.
     // Whichever queue the traffic lands on, both workers process it —
@@ -54,51 +46,53 @@ fn main() {
     let forwarded_ctr = Arc::new(AtomicU64::new(0));
     let expired_ctr = Arc::new(AtomicU64::new(0));
     let icmp_ctr = Arc::new(AtomicU64::new(0));
-    let pool = {
+    let middlebox = {
         let egress = Arc::clone(&nic2);
         let forwarded_ctr = Arc::clone(&forwarded_ctr);
         let expired_ctr = Arc::clone(&expired_ctr);
         let icmp_ctr = Arc::clone(&icmp_ctr);
-        engine.consumer_pool(&BuddyGroup::all(2), 2, move |d| {
-            thread_local! {
-                // One middlebox + scratch buffer per worker thread:
-                // frames are inspected/modified straight off the
-                // borrowed chunk view, with no per-packet allocation.
-                static MB: RefCell<(Middlebox, Vec<u8>)> =
-                    RefCell::new((Middlebox::new(), Vec::new()));
-            }
-            MB.with(|cell| {
-                let mut cell = cell.borrow_mut();
-                let (mb, scratch) = &mut *cell;
-                let mut forwarded = 0u64;
-                let mut expired = 0u64;
-                for pkt in d.view().iter() {
-                    let verdict = mb.process_slice(pkt.data, scratch);
-                    if verdict == Verdict::TtlExpired {
-                        // A real router answers with ICMP Time
-                        // Exceeded toward the sender.
-                        let _reply = mb
-                            .time_exceeded_reply(pkt.data)
-                            .expect("IPv4 frame quotes cleanly");
-                        expired += 1;
-                    } else {
-                        // Transmit owns its frame: the one copy out
-                        // of the scratch buffer happens here.
-                        let out = netproto::Packet {
-                            ts_ns: pkt.ts_ns,
-                            wire_len: pkt.wire_len,
-                            data: bytes::Bytes::copy_from_slice(scratch),
-                        };
-                        while egress.inject(out.clone()).is_none() {
-                            std::thread::yield_now();
-                        }
-                        forwarded += 1;
-                    }
+        Consumers::pool(2, move |_| {
+            move |d: wirecap::PoolDelivery<'_>| {
+                thread_local! {
+                    // One middlebox + scratch buffer per worker thread:
+                    // frames are inspected/modified straight off the
+                    // borrowed chunk view, with no per-packet allocation.
+                    static MB: RefCell<(Middlebox, Vec<u8>)> =
+                        RefCell::new((Middlebox::new(), Vec::new()));
                 }
-                forwarded_ctr.fetch_add(forwarded, Ordering::Relaxed);
-                expired_ctr.fetch_add(expired, Ordering::Relaxed);
-                icmp_ctr.fetch_add(expired, Ordering::Relaxed);
-            });
+                MB.with(|cell| {
+                    let mut cell = cell.borrow_mut();
+                    let (mb, scratch) = &mut *cell;
+                    let mut forwarded = 0u64;
+                    let mut expired = 0u64;
+                    for pkt in d.view().iter() {
+                        let verdict = mb.process_slice(pkt.data, scratch);
+                        if verdict == Verdict::TtlExpired {
+                            // A real router answers with ICMP Time
+                            // Exceeded toward the sender.
+                            let _reply = mb
+                                .time_exceeded_reply(pkt.data)
+                                .expect("IPv4 frame quotes cleanly");
+                            expired += 1;
+                        } else {
+                            // Transmit owns its frame: the one copy out
+                            // of the scratch buffer happens here.
+                            let out = netproto::Packet {
+                                ts_ns: pkt.ts_ns,
+                                wire_len: pkt.wire_len,
+                                data: bytes::Bytes::copy_from_slice(scratch),
+                            };
+                            while egress.inject(out.clone()).is_none() {
+                                std::thread::yield_now();
+                            }
+                            forwarded += 1;
+                        }
+                    }
+                    forwarded_ctr.fetch_add(forwarded, Ordering::Relaxed);
+                    expired_ctr.fetch_add(expired, Ordering::Relaxed);
+                    icmp_ctr.fetch_add(expired, Ordering::Relaxed);
+                });
+            }
         })
     };
 
@@ -131,18 +125,16 @@ fn main() {
     // Traffic into NIC1: normal packets plus a slice arriving with TTL 1
     // (these must die at the middlebox).
     let mut builder = PacketBuilder::new();
-    let mut ts = 0u64;
     let total = 5_000u64;
-    let mut expiring = 0u64;
-    for i in 0..total {
+    let expiring = total.div_ceil(10);
+    let traffic = (0..total).map(move |i| {
         let flow = FlowKey::udp(
             Ipv4Addr::new(172, 16, (i >> 8) as u8, (i & 0xff) as u8 | 1),
             20_000 + (i % 1_000) as u16,
             Ipv4Addr::new(131, 225, 107, 3),
             9_000,
         );
-        ts += 2_000;
-        let mut pkt = builder.build_packet(ts, &flow, 300).unwrap();
+        let mut pkt = builder.build_packet((i + 1) * 2_000, &flow, 300).unwrap();
         if i % 10 == 0 {
             // Rewrite TTL to 1 and refresh the header checksum.
             let mut bytes = pkt.data.to_vec();
@@ -152,22 +144,18 @@ fn main() {
             let csum = netproto::checksum::checksum(&bytes[14..34]);
             bytes[24..26].copy_from_slice(&csum.to_be_bytes());
             pkt.data = bytes.into();
-            expiring += 1;
         }
-        while nic1.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
-    nic1.stop();
-
-    let reports = pool.join();
+        pkt
+    });
+    let nic1 = NicSimBackend::new(LiveNic::new(2, 8192));
+    let run = drive(nic1, cfg, middlebox, traffic, 0);
+    let reports = run.workers;
     let forwarded = forwarded_ctr.load(Ordering::Relaxed);
     let expired = expired_ctr.load(Ordering::Relaxed);
     let icmp_sent = icmp_ctr.load(Ordering::Relaxed);
     let stolen: u64 = reports.iter().map(|r| r.stolen_chunks).sum();
     nic2.stop();
     let received = receiver.join().expect("receiver thread");
-    engine.shutdown();
 
     println!("ingress  : {total} packets ({expiring} arriving with TTL 1)");
     println!("forwarded: {forwarded}  expired: {expired}  ICMP time-exceeded sent: {icmp_sent}");

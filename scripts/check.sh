@@ -28,7 +28,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "==> .rs line totals (tracked per change)"
-for dir in crates/core crates/bench; do
+for dir in crates/core crates/bench crates/apps tests examples; do
     lines=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)
     echo "    $dir: $lines"
 done
@@ -281,6 +281,12 @@ echo "==> tail-latency sweep point (pool size x load, small)"
 # headline pair (largest pool, saturating load) is echoed in the
 # table title.
 cargo run -q --release -p bench --bin fig_latency -- --small --out target/check-latency
+
+echo "==> capture-and-save sweep (5 paced points, small)"
+# Disk-leg conservation (delivered == written + disk_drop) is asserted
+# inside the binary at every point; injection runs on the harness
+# pacer (apps::live::inject).
+cargo run -q --release -p bench --bin fig_capture_save -- --small --out target/check-capture-save
 
 echo "==> EXPERIMENTS.md tables match the committed results/*.json"
 # The smoke runs above write under target/, so results/ stays the

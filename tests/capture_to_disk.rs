@@ -9,13 +9,13 @@
 //! `delivered == written + disk_drop`, with the written side readable
 //! back out of standard pcapng files.
 
+use apps::LiveRun;
 use capdisk::{read_pcapng, DiskSinkConfig, FileFormat, RotationPolicy, SinkMode};
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
-use std::sync::Arc;
-use wirecap::WireCapConfig;
+use wirecap::{NicSimBackend, WireCapConfig};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wirecap-c2d-{tag}-{}", std::process::id()));
@@ -23,21 +23,21 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn inject_and_stop(nic: &Arc<LiveNic>, total: u64) {
+/// Runs `total` packets through a live `queues`-queue engine into the
+/// disk `sink` (`apps::save::run`, conservation-checked).
+fn save(queues: usize, depth: usize, sink: DiskSinkConfig, total: u64) -> LiveRun {
     let mut b = PacketBuilder::new();
-    for i in 0..total {
+    let traffic = (0..total).map(move |i| {
         let flow = FlowKey::udp(
             Ipv4Addr::new(10, 2, (i % 250) as u8, 1),
             (3_000 + i % 7_000) as u16,
             Ipv4Addr::new(131, 225, 2, 1),
             443,
         );
-        let pkt = b.build_packet(i * 2_000, &flow, 200).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
-    nic.stop();
+        b.build_packet(i * 2_000, &flow, 200).unwrap()
+    });
+    let backend = NicSimBackend::new(LiveNic::new(queues, depth));
+    apps::save::run(backend, cfg(), SinkMode::Disk(sink), traffic, 0)
 }
 
 fn cfg() -> WireCapConfig {
@@ -53,22 +53,16 @@ fn capture_and_save_round_trips_through_rotated_pcapng() {
     let dir = tempdir("smoke");
     let total = 6_000u64;
     let queues = 2;
-    let nic = LiveNic::new(queues, 4096);
     let mut sink = DiskSinkConfig::new(&dir);
     sink.rotation = RotationPolicy {
         max_file_bytes: 96 << 10,
         max_file_duration: None,
     };
-    let injector = {
-        let nic = Arc::clone(&nic);
-        std::thread::spawn(move || inject_and_stop(&nic, total))
-    };
-    let out = apps::save::run(Arc::clone(&nic), cfg(), SinkMode::Disk(sink));
-    injector.join().unwrap();
+    let out = save(queues, 4096, sink, total);
 
     let report = out.disk.as_ref().expect("disk mode");
-    assert!(out.is_conserved(), "unaccounted packets: {report:?}");
-    assert_eq!(out.delivered_packets, total);
+    assert!(report.is_conserved(), "unaccounted packets: {report:?}");
+    assert_eq!(out.delivered, total);
     assert_eq!(report.written_packets() + report.dropped_packets(), total);
 
     // Telemetry and the sink report agree on both legs.
@@ -111,20 +105,15 @@ fn capture_and_save_round_trips_through_rotated_pcapng() {
 fn throttled_disk_degrades_gracefully_without_stalling_capture() {
     let dir = tempdir("throttle");
     let total = 8_000u64;
-    let nic = LiveNic::new(2, 8192);
     let mut sink = DiskSinkConfig::new(&dir);
     sink.format = FileFormat::Pcap;
     sink.handoff_chunks = 2;
     sink.max_write_bps = Some(150_000);
-    let injector = {
-        let nic = Arc::clone(&nic);
-        std::thread::spawn(move || inject_and_stop(&nic, total))
-    };
-    let out = apps::save::run(Arc::clone(&nic), cfg(), SinkMode::Disk(sink));
-    injector.join().unwrap();
+    let out = save(2, 8192, sink, total);
+    let capture_drop_packets = out.snapshot.total().capture_drop_packets;
 
     let report = out.disk.as_ref().expect("disk mode");
-    assert!(out.is_conserved(), "unaccounted packets: {report:?}");
+    assert!(report.is_conserved(), "unaccounted packets: {report:?}");
     // The disk leg shed (the whole point of the throttle)…
     assert!(
         report.dropped_packets() > 0,
@@ -134,13 +123,13 @@ fn throttled_disk_degrades_gracefully_without_stalling_capture() {
     // either written, shed by the disk leg, or counted as a capture
     // drop — nothing vanishes.
     assert_eq!(
-        out.delivered_packets + out.capture_drop_packets,
+        out.delivered + capture_drop_packets,
         total,
         "unaccounted packets: {report:?}"
     );
     assert_eq!(
         report.written_packets() + report.dropped_packets(),
-        out.delivered_packets
+        out.delivered
     );
     // The capture side must not be *stalled* by the slow disk. Unpaced
     // injection on a loaded CI host can cost a few chunks to scheduler
@@ -148,9 +137,8 @@ fn throttled_disk_degrades_gracefully_without_stalling_capture() {
     // back-pressured capture would lose the majority of the run — so
     // bound the capture-side loss well below that.
     assert!(
-        out.capture_drop_packets < total / 4,
-        "slow disk appears to stall capture: {} of {total} capture-dropped",
-        out.capture_drop_packets
+        capture_drop_packets < total / 4,
+        "slow disk appears to stall capture: {capture_drop_packets} of {total} capture-dropped"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -146,11 +146,13 @@ fn names_are_distinct_and_stable() {
 /// whether frames come from `nicsim`'s owned-packet rings or from
 /// `shmring`'s shared-memory descriptor rings.
 mod live_backends {
-    use netproto::{FlowKey, PacketBuilder};
+    use apps::live::{drive, inject, Consumers};
+    use netproto::{FlowKey, Packet, PacketBuilder};
     use nicsim::livenic::LiveNic;
     use shmring::ShmRingNic;
     use std::net::Ipv4Addr;
     use std::sync::{Arc, Mutex};
+    use std::time::Duration;
     use wirecap::arena::arena_allocations;
     use wirecap::buddy::BuddyGroups;
     use wirecap::live::LiveWireCap;
@@ -185,14 +187,13 @@ mod live_backends {
         )
     }
 
-    fn inject_flows(backend: &dyn LoopbackBackend, n: u16) {
+    /// Packets `range`, packet `i` on flow `flow_of(i)`.
+    fn packets(
+        range: std::ops::Range<u16>,
+        flow_of: impl Fn(u16) -> FlowKey,
+    ) -> impl Iterator<Item = Packet> {
         let mut b = PacketBuilder::new();
-        for i in 0..n {
-            let pkt = b.build_packet(u64::from(i), &flow(i), 128).unwrap();
-            while backend.inject(pkt.clone()).is_none() {
-                std::thread::yield_now();
-            }
-        }
+        range.map(move |i| b.build_packet(u64::from(i), &flow_of(i), 128).unwrap())
     }
 
     #[test]
@@ -200,30 +201,9 @@ mod live_backends {
         let _live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
         for backend in backends(2, 4096) {
             let name = backend.name();
-            let upcast: Arc<dyn CaptureBackend> = backend.clone();
-            let engine = LiveWireCap::builder()
-                .backend(upcast)
-                .config(live_cfg())
-                .groups(BuddyGroups::isolated(2))
-                .start();
-            let consumers: Vec<_> = (0..2)
-                .map(|q| {
-                    let mut c = engine.consumer(q);
-                    std::thread::spawn(move || {
-                        let mut n = 0u64;
-                        while let Some(chunk) = c.next_chunk() {
-                            n += chunk.len() as u64;
-                            c.recycle(chunk);
-                        }
-                        n
-                    })
-                })
-                .collect();
-            inject_flows(backend.as_ref(), 3_000);
-            backend.stop().expect("stop backend");
-            let consumed: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-            let t = engine.snapshot().total();
-            engine.shutdown();
+            let consumers = Consumers::per_queue(|_| |_| {});
+            let run = drive(backend, live_cfg(), consumers, packets(0..3_000, flow), 0);
+            let t = run.snapshot.total();
             // offered folds in wire-side drops from the retried injects;
             // net of those, every packet that landed was offered once.
             assert_eq!(t.offered_packets - t.nic_drop_packets, 3_000, "{name}");
@@ -233,8 +213,38 @@ mod live_backends {
                 t.captured_packets,
                 "{name}"
             );
-            assert_eq!(consumed, t.captured_packets, "{name}");
+            assert_eq!(run.delivered, t.captured_packets, "{name}");
             assert_eq!(t.recycled_chunks, t.sealed_chunks, "{name}");
+        }
+    }
+
+    /// The harness injector against an 8-deep ring and a slow consumer:
+    /// the ring refuses injections, every refusal is retried until the
+    /// packet lands, and the run still conserves.
+    #[test]
+    fn harness_retries_every_refused_injection() {
+        let _live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+        for backend in backends(1, 8) {
+            let name = backend.name();
+            // 3 000 packets outgrow the 32 x 64-cell pool plus the
+            // ring, so capture must backpressure into refusals.
+            let consumers =
+                Consumers::per_queue(|_| |_| std::thread::sleep(Duration::from_micros(200)));
+            let run = drive(
+                backend,
+                live_cfg(),
+                consumers,
+                packets(0..3_000, |_| flow(7)),
+                0,
+            );
+            let t = run.snapshot.total();
+            assert_eq!(run.offered, 3_000, "{name}");
+            assert!(t.nic_drop_packets > 0, "{name}: the ring never refused");
+            assert_eq!(
+                t.offered_packets - t.nic_drop_packets,
+                3_000,
+                "{name}: a refused injection was not retried"
+            );
         }
     }
 
@@ -252,15 +262,15 @@ mod live_backends {
             // All arena buffers exist as of here; capture and view-based
             // consumption must not add any, no matter the backend.
             let baseline = arena_allocations();
-            let mut b = PacketBuilder::new();
             let mut c = engine.consumer(0);
             let mut consumed = 0u64;
             let mut bytes_seen = 0u64;
-            for i in 0..2_048u64 {
-                let pkt = b.build_packet(i, &flow(7), 128).unwrap();
-                while backend.inject(pkt.clone()).is_none() {
-                    std::thread::yield_now();
-                }
+            for burst in 0..32u16 {
+                inject(
+                    backend.as_ref(),
+                    packets(burst * 64..(burst + 1) * 64, |_| flow(7)),
+                    0,
+                );
                 // Drain as we go so the small pool never exhausts.
                 while let Some(chunk) = c.try_chunk() {
                     for p in c.view(&chunk).iter() {
@@ -314,7 +324,7 @@ mod live_backends {
                     })
                 })
                 .collect();
-            inject_flows(backend.as_ref(), 500);
+            inject(backend.as_ref(), packets(0..500, flow), 0);
             backend.stop().expect("stop backend");
             assert!(backend.is_stopped(), "{name}");
             // Stop is idempotent, and a late inject must not panic (the

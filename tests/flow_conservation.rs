@@ -14,6 +14,7 @@
 //! small enough that eviction actually fires, and
 //! checks the per-chunk telemetry flushes agree with the sinks.
 
+use apps::live::{drive, inject, Consumers};
 use apps::multi_pkt_handler::record_chunk_flows;
 use flowstat::{FlowSink, FlowSinkConfig};
 use netproto::{FlowKey, PacketBuilder};
@@ -26,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use telemetry::EngineSnapshot;
 use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
-use wirecap::NicSimBackend;
+use wirecap::{BuddyGroup, LoopbackBackend, NicSimBackend, PoolDelivery, RegistryHandle};
 use wirecap::{PoolWorkerReport, WireCapConfig};
 
 struct FlowRun {
@@ -47,6 +48,10 @@ fn flow_key(i: u64, flows: u16) -> FlowKey {
     )
 }
 
+/// Runs `total` packets over `flows` flows through a `workers`-worker
+/// pool whose workers record into per-worker flow sinks. A natural run
+/// goes through the harness; `force_stop` instead shuts the engine
+/// down and stops the pool with chunks still queued.
 fn run_flow_pool(
     total: u64,
     queues: usize,
@@ -56,19 +61,10 @@ fn run_flow_pool(
     in_order: bool,
     force_stop: bool,
 ) -> FlowRun {
-    let nic = LiveNic::new(queues, 8192);
+    let backend: Arc<dyn LoopbackBackend> = NicSimBackend::new(LiveNic::new(queues, 8192));
     let mut cfg = WireCapConfig::basic(32, 64, 0);
     cfg.capture_timeout_ns = 1_000_000;
     cfg.in_order = in_order;
-    let groups = BuddyGroups::single(queues);
-    let group = groups.group_of(0).cloned().expect("queue 0 grouped");
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg)
-        .groups(groups)
-        .start();
-
-    let reg = engine.registry_handle();
     let sinks: Arc<Vec<Mutex<FlowSink>>> = Arc::new(
         (0..workers)
             .map(|_| {
@@ -79,33 +75,47 @@ fn run_flow_pool(
             })
             .collect(),
     );
-    let pool = {
+    let handler = {
         let sinks = Arc::clone(&sinks);
-        engine.consumer_pool(&group, workers, move |d| {
-            record_chunk_flows(
-                &mut sinks[d.worker()].lock().expect("sink poisoned"),
-                d.view().iter().map(|p| p.data),
-                &reg.queue(d.home()).flow.0,
-            );
-        })
-    };
-
-    let mut injected: HashMap<FlowKey, u64> = HashMap::new();
-    let mut b = PacketBuilder::new();
-    for i in 0..total {
-        let flow = flow_key(i, flows);
-        *injected.entry(flow).or_insert(0) += 1;
-        let pkt = b.build_packet(i * 1_000, &flow, 96).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
+        move |reg: RegistryHandle| {
+            move |d: PoolDelivery<'_>| {
+                record_chunk_flows(
+                    &mut sinks[d.worker()].lock().expect("sink poisoned"),
+                    d.view().iter().map(|p| p.data),
+                    &reg.queue(d.home()).flow.0,
+                );
+            }
         }
+    };
+    let mut injected: HashMap<FlowKey, u64> = HashMap::new();
+    for i in 0..total {
+        *injected.entry(flow_key(i, flows)).or_insert(0) += 1;
     }
-    nic.stop();
+    let mut b = PacketBuilder::new();
+    let traffic =
+        (0..total).map(move |i| b.build_packet(i * 1_000, &flow_key(i, flows), 96).unwrap());
 
-    let observer = engine.observer();
-    engine.shutdown();
-    let reports = if force_stop { pool.stop() } else { pool.join() };
-    let snap = observer.snapshot();
+    let (reports, snap) = if force_stop {
+        let engine = LiveWireCap::builder()
+            .backend(backend.clone())
+            .config(cfg)
+            .groups(BuddyGroups::single(queues))
+            .start();
+        let pool = engine.consumer_pool(
+            &BuddyGroup::all(queues),
+            workers,
+            handler(engine.registry_handle()),
+        );
+        inject(backend.as_ref(), traffic, 0);
+        backend.stop().expect("stop backend");
+        let observer = engine.observer();
+        engine.shutdown();
+        (pool.stop(), observer.snapshot())
+    } else {
+        let consumers = Consumers::pool(workers, move |e| handler(e.registry_handle()));
+        let run = drive(backend, cfg, consumers, traffic, 0);
+        (run.workers, run.snapshot)
+    };
     let Ok(sinks) = Arc::try_unwrap(sinks) else {
         unreachable!("pool joined, sinks unshared");
     };

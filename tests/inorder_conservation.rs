@@ -22,6 +22,7 @@
 //! chunk past the descriptor segments face the same interleavings —
 //! including forced stops — as the default.
 
+use apps::live::inject;
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use proptest::prelude::*;
@@ -53,14 +54,14 @@ fn run_pool(
     force_stop: bool,
     (m, r): (usize, usize),
 ) -> (EngineSnapshot, Vec<PoolWorkerReport>, u64) {
-    let nic = LiveNic::new(queues, 8192);
+    let nic = NicSimBackend::new(LiveNic::new(queues, 8192));
     let mut cfg = WireCapConfig::basic(m, r, 0);
     cfg.capture_timeout_ns = 1_000_000;
     cfg.in_order = in_order;
     let groups = BuddyGroups::single(queues);
     let group = groups.group_of(0).cloned().expect("queue 0 grouped");
     let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .backend(nic.clone())
         .config(cfg)
         .groups(groups)
         .start();
@@ -98,19 +99,18 @@ fn run_pool(
     };
 
     let mut b = PacketBuilder::new();
-    for i in 0..total {
+    let flows = u64::from(flows.max(1));
+    let traffic = (0..total).map(move |i| {
         let flow = FlowKey::udp(
-            Ipv4Addr::new(10, 9, (i % u64::from(flows.max(1))) as u8, 9),
-            9_000 + (i % u64::from(flows.max(1))) as u16,
+            Ipv4Addr::new(10, 9, (i % flows) as u8, 9),
+            9_000 + (i % flows) as u16,
             Ipv4Addr::new(131, 225, 2, 1),
             443,
         );
-        let pkt = b.build_packet(i * 1_000, &flow, 96).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
-    nic.stop();
+        b.build_packet(i * 1_000, &flow, 96).unwrap()
+    });
+    inject(nic.as_ref(), traffic, 0);
+    nic.nic().stop();
 
     // `shutdown()` abandons whatever is still in the NIC ring (the
     // backpressure design leaves overflow to the hardware's drop

@@ -4,14 +4,15 @@
 //! multi-queue capture with offloading, the multi_pkt_handler driver,
 //! and loss accounting under deliberate overload.
 
-use netproto::{FlowKey, PacketBuilder};
+use apps::live::{drive, inject, Consumers};
+use netproto::{FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
-use wirecap::NicSimBackend;
-use wirecap::WireCapConfig;
+use wirecap::{ChunkView, WireCapConfig};
+use wirecap::{LoopbackBackend, NicSimBackend};
 
 fn cfg() -> WireCapConfig {
     let mut cfg = WireCapConfig::basic(64, 32, 0);
@@ -19,67 +20,49 @@ fn cfg() -> WireCapConfig {
     cfg
 }
 
-fn inject_flows(nic: &Arc<LiveNic>, n: u16, dst_last: u8) {
+fn nic(queues: usize, depth: usize) -> Arc<dyn LoopbackBackend> {
+    NicSimBackend::new(LiveNic::new(queues, depth))
+}
+
+/// `n` packets on `n` distinct flows toward `10.0.0.dst_last`.
+fn flows(n: u16, dst_last: u8) -> impl Iterator<Item = Packet> {
     let mut b = PacketBuilder::new();
-    for i in 0..n {
+    (0..n).map(move |i| {
         let flow = FlowKey::udp(
             Ipv4Addr::new(131, 225, 2, (i % 200) as u8 + 1),
             9_000 + i,
             Ipv4Addr::new(10, 0, 0, dst_last),
             443,
         );
-        let pkt = b.build_packet(u64::from(i), &flow, 128).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
+        b.build_packet(u64::from(i), &flow, 128).unwrap()
+    })
+}
+
+/// `n` packets of one flow: RSS lands every one on the same queue.
+fn one_flow(n: u64, last: u8) -> impl Iterator<Item = Packet> {
+    let mut b = PacketBuilder::new();
+    let flow = FlowKey::udp(
+        Ipv4Addr::new(131, 225, 2, last),
+        7_000 + u16::from(last),
+        Ipv4Addr::new(10, 0, 0, last),
+        443,
+    );
+    (0..n).map(move |i| b.build_packet(i, &flow, 128).unwrap())
 }
 
 #[test]
 fn multi_queue_capture_accounts_every_packet() {
-    let nic = LiveNic::new(4, 4096);
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg())
-        .groups(BuddyGroups::isolated(4))
-        .start();
-    let consumers: Vec<_> = (0..4)
-        .map(|q| {
-            let mut c = engine.consumer(q);
-            std::thread::spawn(move || {
-                let mut n = 0u64;
-                while let Some(chunk) = c.next_chunk() {
-                    n += chunk.len() as u64;
-                    c.recycle(chunk);
-                }
-                n
-            })
-        })
-        .collect();
-    inject_flows(&nic, 5_000, 1);
-    nic.stop();
-    let consumed: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-    let tel = engine.snapshot().total();
-    let captured = tel.captured_packets;
-    let dropped = tel.capture_drop_packets;
-    engine.shutdown();
-    assert_eq!(captured + dropped, 5_000);
-    assert_eq!(consumed, captured);
-    assert_eq!(dropped, 0, "no overload, no drops");
+    let consumers = Consumers::per_queue(|_| |_| {});
+    let run = drive(nic(4, 4096), cfg(), consumers, flows(5_000, 1), 0);
+    let tel = run.snapshot.total();
+    assert_eq!(tel.captured_packets + tel.capture_drop_packets, 5_000);
+    assert_eq!(run.delivered, tel.captured_packets);
+    assert_eq!(tel.capture_drop_packets, 0, "no overload, no drops");
 }
 
 #[test]
 fn multi_pkt_handler_processes_all_queues() {
-    let nic = LiveNic::new(3, 4096);
-    let injector = {
-        let nic = Arc::clone(&nic);
-        std::thread::spawn(move || {
-            inject_flows(&nic, 2_000, 2);
-            nic.stop();
-        })
-    };
-    let reports = apps::multi_pkt_handler::run(Arc::clone(&nic), cfg(), 2);
-    injector.join().unwrap();
+    let reports = apps::multi_pkt_handler::run(nic(3, 4096), cfg(), 2, flows(2_000, 2));
     let processed: u64 = reports.iter().map(|r| r.processed).sum();
     let matched: u64 = reports.iter().map(|r| r.matched).sum();
     assert_eq!(processed, 2_000);
@@ -89,63 +72,28 @@ fn multi_pkt_handler_processes_all_queues() {
 
 #[test]
 fn offloading_moves_chunks_in_live_mode() {
-    // Two queues, one buddy group; a consumer only on queue 1, so queue
-    // 0's chunks MUST offload to survive. Force offloading with T = 0.
-    let nic = LiveNic::new(2, 8192);
+    // Two queues, one buddy group; queue 0's consumer is deliberately
+    // slow and all packets belong to ONE flow, so the loaded queue's
+    // chunks offload to its buddy. Force offloading with T = 0.
     let mut config = WireCapConfig::advanced(64, 32, 0.0, 0);
     config.capture_timeout_ns = 1_500_000;
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(config)
-        .groups(BuddyGroups::single(2))
-        .start();
-
-    // A consumer on each queue; queue 0's consumer is deliberately slow.
-    let fast = {
-        let mut c = engine.consumer(1);
-        std::thread::spawn(move || {
-            let mut n = 0u64;
-            while let Some(chunk) = c.next_chunk() {
-                n += chunk.len() as u64;
-                c.recycle(chunk);
-            }
-            n
-        })
-    };
-    let slow = {
-        let mut c = engine.consumer(0);
-        std::thread::spawn(move || {
-            let mut n = 0u64;
-            while let Some(chunk) = c.next_chunk() {
-                n += chunk.len() as u64;
+    let consumers = Consumers::per_queue(|q| {
+        move |_| {
+            if q == 0 {
                 std::thread::sleep(std::time::Duration::from_micros(500));
-                c.recycle(chunk);
             }
-            n
-        })
-    };
-    // All packets belong to ONE flow → one queue gets everything.
-    let mut b = PacketBuilder::new();
-    let flow = FlowKey::udp(
-        Ipv4Addr::new(131, 225, 2, 9),
-        50_000,
-        Ipv4Addr::new(10, 0, 0, 9),
-        443,
-    );
-    for i in 0..6_000u64 {
-        let pkt = b.build_packet(i, &flow, 128).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
         }
-    }
-    nic.stop();
-    let total = fast.join().unwrap() + slow.join().unwrap();
-    let tel = engine.snapshot().total();
-    let offloaded = tel.offloaded_in_chunks;
-    let captured = tel.captured_packets;
-    engine.shutdown();
-    assert_eq!(total, captured, "every captured packet is consumed");
-    assert!(offloaded > 0, "offloading must have moved chunks");
+    });
+    let run = drive(nic(2, 8192), config, consumers, one_flow(6_000, 9), 0);
+    let tel = run.snapshot.total();
+    assert_eq!(
+        run.delivered, tel.captured_packets,
+        "every captured packet is consumed"
+    );
+    assert!(
+        tel.offloaded_in_chunks > 0,
+        "offloading must have moved chunks"
+    );
 }
 
 #[test]
@@ -204,9 +152,9 @@ fn overload_produces_bounded_loss_accounting() {
 /// synchronization overheads across these threads."
 #[test]
 fn multiple_consumers_share_one_queue() {
-    let nic = LiveNic::new(1, 8192);
+    let nic = nic(1, 8192);
     let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .backend(nic.clone())
         .config(cfg())
         .groups(BuddyGroups::isolated(1))
         .start();
@@ -224,26 +172,11 @@ fn multiple_consumers_share_one_queue() {
         })
         .collect();
     // One flow: everything lands on queue 0, three threads share it.
-    let mut b = PacketBuilder::new();
-    let flow = FlowKey::udp(
-        Ipv4Addr::new(131, 225, 2, 7),
-        7_000,
-        Ipv4Addr::new(10, 0, 0, 7),
-        443,
-    );
     // Paced injection: the shared consumers must keep up with the
     // capture thread, or the (small, R = 32) pool exhausts — which is
     // correct engine behaviour but not what this test is about.
-    for i in 0..4_000u64 {
-        let pkt = b.build_packet(i, &flow, 128).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-        if i % 64 == 63 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-    nic.stop();
+    inject(nic.as_ref(), one_flow(4_000, 7), 64_000);
+    nic.stop().expect("stop backend");
     let per_thread: Vec<u64> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
     let dropped = engine.telemetry(0).capture_drop_packets;
     engine.shutdown();
@@ -256,33 +189,17 @@ fn multiple_consumers_share_one_queue() {
 #[test]
 fn app_level_steering_over_live_capture() {
     use wirecap::steering::AppSteering;
-    let nic = LiveNic::new(2, 8192);
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg())
-        .groups(BuddyGroups::isolated(2))
-        .start();
     let steering = AppSteering::new(16, 4096);
-    let dispatchers: Vec<_> = (0..2)
-        .map(|q| {
-            let mut c = engine.consumer(q);
+    let consumers = {
+        let steering = Arc::clone(&steering);
+        Consumers::per_queue(move |_| {
             let s = Arc::clone(&steering);
-            std::thread::spawn(move || {
-                let mut dropped = 0u64;
-                while let Some(chunk) = c.next_chunk() {
-                    dropped += s.dispatch_view(c.view(&chunk));
-                    // The chunk recycles immediately — the copy decoupled it.
-                    c.recycle(chunk);
-                }
-                dropped
-            })
+            // The chunk recycles right after dispatch: the copy
+            // decoupled it.
+            move |view: ChunkView<'_>| assert_eq!(s.dispatch_view(view), 0)
         })
-        .collect();
-    inject_flows(&nic, 3_000, 3);
-    nic.stop();
-    let dropped: u64 = dispatchers.into_iter().map(|d| d.join().unwrap()).sum();
-    engine.shutdown();
-    assert_eq!(dropped, 0);
+    };
+    drive(nic(2, 8192), cfg(), consumers, flows(3_000, 3), 0);
     assert_eq!(steering.copied_packets(), 3_000);
     let delivered: u64 = (0..16).map(|i| steering.queue(i).enqueued()).sum();
     assert_eq!(delivered, 3_000);

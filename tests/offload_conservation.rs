@@ -28,7 +28,8 @@
 //! buddy's consumer exits after a random number of chunks mid-run, and
 //! a rescue consumer attaches afterwards to drain what was stranded.
 
-use netproto::{FlowKey, PacketBuilder};
+use apps::live::{drive, inject, Consumers};
+use netproto::{FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -39,7 +40,7 @@ use std::time::Duration;
 use telemetry::EngineSnapshot;
 use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
-use wirecap::{BuddyGroup, CaptureBackend, LoopbackBackend, NicSimBackend, WireCapConfig};
+use wirecap::{CaptureBackend, LoopbackBackend, NicSimBackend, WireCapConfig};
 
 /// Both loopback-capable backends, same two-queue geometry: the offload
 /// conservation laws are a property of the engine, not of where frames
@@ -49,6 +50,18 @@ fn backends() -> Vec<Arc<dyn LoopbackBackend>> {
         NicSimBackend::new(LiveNic::new(2, 8192)) as Arc<dyn LoopbackBackend>,
         ShmRingNic::new(2, 8192) as Arc<dyn LoopbackBackend>,
     ]
+}
+
+/// Packets `range` of one flow: RSS hashes every one to the same queue.
+fn one_flow(range: std::ops::Range<u64>) -> impl Iterator<Item = Packet> {
+    let mut b = PacketBuilder::new();
+    let flow = FlowKey::udp(
+        Ipv4Addr::new(10, 7, 7, 7),
+        7_777,
+        Ipv4Addr::new(131, 225, 2, 1),
+        443,
+    );
+    range.map(move |i| b.build_packet(i * 1_000, &flow, 120).unwrap())
 }
 
 /// One randomized run: `total` packets of a single flow, the offload
@@ -76,14 +89,7 @@ fn run_interleaving(
 
     // A single flow RSS-hashes every packet to one queue; learn which
     // from the first injection so the test is independent of the hash.
-    let mut b = PacketBuilder::new();
-    let flow = FlowKey::udp(
-        Ipv4Addr::new(10, 7, 7, 7),
-        7_777,
-        Ipv4Addr::new(131, 225, 2, 1),
-        443,
-    );
-    let first = b.build_packet(0, &flow, 120).unwrap();
+    let first = one_flow(0..1).next().unwrap();
     let busy = loop {
         match backend.inject(first.clone()) {
             Some(q) => break q,
@@ -124,19 +130,7 @@ fn run_interleaving(
     let injector = {
         let backend = Arc::clone(&backend);
         std::thread::spawn(move || {
-            let mut b = PacketBuilder::new();
-            let flow = FlowKey::udp(
-                Ipv4Addr::new(10, 7, 7, 7),
-                7_777,
-                Ipv4Addr::new(131, 225, 2, 1),
-                443,
-            );
-            for i in 1..total {
-                let pkt = b.build_packet(i * 1_000, &flow, 120).unwrap();
-                while backend.inject(pkt.clone()).is_none() {
-                    std::thread::yield_now();
-                }
-            }
+            inject(backend.as_ref(), one_flow(1..total), 0);
             backend.stop().expect("stop backend");
         })
     };
@@ -220,33 +214,8 @@ fn placement_counts_the_claim_queue_backlog() {
         let name = backend.name();
         let mut cfg = WireCapConfig::advanced(32, 40, 0.2, 0);
         cfg.capture_timeout_ns = 1_000_000;
-        let upcast: Arc<dyn CaptureBackend> = backend.clone();
-        let engine = LiveWireCap::builder()
-            .backend(upcast)
-            .config(cfg)
-            .groups(BuddyGroups::single(2))
-            .start();
-        let pool = engine.consumer_pool(&BuddyGroup::all(2), 1, |_| {
-            std::thread::sleep(Duration::from_micros(200));
-        });
-        let mut b = PacketBuilder::new();
-        let flow = FlowKey::udp(
-            Ipv4Addr::new(10, 7, 7, 7),
-            7_777,
-            Ipv4Addr::new(131, 225, 2, 1),
-            443,
-        );
-        for i in 0..TOTAL {
-            let pkt = b.build_packet(i * 1_000, &flow, 120).unwrap();
-            while backend.inject(pkt.clone()).is_none() {
-                std::thread::yield_now();
-            }
-        }
-        backend.stop().expect("stop backend");
-        let observer = engine.observer();
-        engine.shutdown();
-        pool.join();
-        let snap = observer.snapshot();
+        let pool = Consumers::pool(1, |_| |_| std::thread::sleep(Duration::from_micros(200)));
+        let snap = drive(backend, cfg, pool, one_flow(0..TOTAL), 0).snapshot;
         assert_conserved(&snap, TOTAL);
         let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
         let offloaded: u64 = snap.queues.iter().map(|q| q.offloaded_out_chunks).sum();
@@ -254,5 +223,72 @@ fn placement_counts_the_claim_queue_backlog() {
             offloaded * 4 >= sealed,
             "{name}: only {offloaded} of {sealed} sealed chunks offloaded: {snap:?}"
         );
+    }
+}
+
+/// A consumer that departs with offloaded chunks still in its inbox
+/// charges their packets as delivery drops to the chunks' home queue,
+/// where their capture, delivery and recycle are counted too — so the
+/// delivery law holds per queue, not only summed over the engine.
+#[test]
+fn departing_consumer_charges_inboxed_offloads_to_their_home() {
+    const CHUNKS: u64 = 8;
+    for backend in backends() {
+        let name = backend.name();
+        // T = 0: a chunk sealed while its home queue has a backlog goes
+        // to the shorter claim queue. No partial chunks: the timeout
+        // never fires and the traffic fills whole chunks.
+        let mut cfg = WireCapConfig::advanced(32, 64, 0.0, 0);
+        cfg.capture_timeout_ns = 10_000_000_000;
+        let upcast: Arc<dyn CaptureBackend> = backend.clone();
+        let engine = LiveWireCap::builder()
+            .backend(upcast)
+            .config(cfg)
+            .groups(BuddyGroups::single(2))
+            .start();
+        inject(backend.as_ref(), one_flow(0..CHUNKS * 32), 0);
+        // With no consumer yet, every sealed chunk waits in a claim
+        // queue, some of them offloaded to the idle buddy.
+        while engine
+            .snapshot()
+            .queues
+            .iter()
+            .map(|q| q.capture_queue_len)
+            .sum::<u64>()
+            < CHUNKS
+        {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let home = (0..2)
+            .max_by_key(|&q| engine.telemetry(q).captured_packets)
+            .unwrap();
+        // The buddy's consumer claims its whole queue into its inbox,
+        // delivers one chunk and departs with the rest.
+        let mut departing = engine.consumer(1 - home);
+        let first = departing.try_chunk().expect("offloads wait on the buddy");
+        assert!(first.offloaded(), "{name}");
+        departing.recycle(first);
+        drop(departing);
+        backend.stop().expect("stop backend");
+        for q in 0..2 {
+            let mut c = engine.consumer(q);
+            while let Some(chunk) = c.next_chunk() {
+                c.recycle(chunk);
+            }
+        }
+        let observer = engine.observer();
+        engine.shutdown();
+        let snap = observer.snapshot();
+        assert_conserved(&snap, CHUNKS * 32);
+        let dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
+        assert!(dropped > 0, "{name}: the departing inbox held no chunk");
+        for q in &snap.queues {
+            assert_eq!(
+                q.delivered_packets + q.delivery_drop_packets,
+                q.captured_packets,
+                "{name}: queue {} broke `delivered + delivery_drop = captured`",
+                q.queue
+            );
+        }
     }
 }

@@ -15,6 +15,7 @@
 //!   *every* worker servicing the queue: a one-worker pool that owns
 //!   two idle queues must account its parks to both.
 
+use apps::live::{drive, Consumers};
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::net::Ipv4Addr;
@@ -40,45 +41,20 @@ fn run_sampled(
         .span_sample_n(sample_n)
         .build()
         .unwrap();
-    let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
-        .config(cfg)
-        .groups(BuddyGroups::isolated(1))
-        .start();
-
-    let consumer = {
-        let mut c = engine.consumer(0);
-        std::thread::spawn(move || {
-            let mut n = 0u64;
-            while let Some(chunk) = c.next_chunk() {
-                n += chunk.len() as u64;
-                c.recycle(chunk);
-            }
-            n
-        })
-    };
-
     let mut b = PacketBuilder::new();
-    for i in 0..total {
+    let traffic = (0..total).map(move |i| {
         let flow = FlowKey::udp(
             Ipv4Addr::new(10, 4, (i % 16) as u8 + 1, 7),
             9_000 + (i % 128) as u16,
             Ipv4Addr::new(131, 225, 2, 1),
             443,
         );
-        let pkt = b.build_packet(i * 800, &flow, 96).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
-    }
-    nic.stop();
-    assert_eq!(consumer.join().unwrap(), total);
-
-    let observer = engine.observer();
-    let spans = observer.spans();
-    let snap = observer.snapshot();
-    engine.shutdown();
-    (spans, snap)
+        b.build_packet(i * 800, &flow, 96).unwrap()
+    });
+    let consumers = Consumers::per_queue(|_| |_| {});
+    let run = drive(NicSimBackend::new(nic), cfg, consumers, traffic, 0);
+    assert_eq!(run.delivered, total);
+    (run.spans, run.snapshot)
 }
 
 /// The per-stage decomposition partitions (a subset of) the span: each

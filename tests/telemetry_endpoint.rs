@@ -17,7 +17,7 @@ use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
@@ -51,18 +51,18 @@ impl Drop for EnvGuard {
     }
 }
 
-fn inject_flows(nic: &Arc<LiveNic>, n: u16) {
+fn inject_flows(nic: &NicSimBackend, n: u16) {
     let mut b = PacketBuilder::new();
-    for i in 0..n {
+    let traffic = (0..n).map(move |i| {
         let flow = FlowKey::udp(
             Ipv4Addr::new(131, 225, 2, (i % 200) as u8 + 1),
             9_000 + i,
             Ipv4Addr::new(10, 0, 0, 1),
             443,
         );
-        let pkt = b.build_packet(u64::from(i), &flow, 128).unwrap();
-        nic.inject(pkt).unwrap();
-    }
+        b.build_packet(u64::from(i), &flow, 128).unwrap()
+    });
+    apps::live::inject(nic, traffic, 0);
 }
 
 /// One HTTP/1.1 GET over a fresh connection; returns (status line, body).
@@ -87,11 +87,11 @@ fn scrape_endpoint_serves_a_live_run() {
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "127.0.0.1:0");
     let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "5");
 
-    let nic = LiveNic::new(1, 4096);
+    let nic = NicSimBackend::new(LiveNic::new(1, 4096));
     let mut cfg = WireCapConfig::basic(64, 32, 0);
     cfg.capture_timeout_ns = 1_500_000;
     let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .backend(nic.clone())
         .config(cfg)
         .groups(BuddyGroups::isolated(1))
         .start();
@@ -117,7 +117,7 @@ fn scrape_endpoint_serves_a_live_run() {
     let (status, _) = http_get(addr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
 
-    nic.stop();
+    nic.nic().stop();
     let consumed = consumer.join().unwrap();
     assert_eq!(consumed, 4_000, "endpoint must not perturb capture");
 
@@ -178,7 +178,7 @@ fn trace_json_serves_chrome_trace_events_from_a_live_run() {
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "127.0.0.1:0");
     let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "0");
 
-    let nic = LiveNic::new(1, 4096);
+    let nic = NicSimBackend::new(LiveNic::new(1, 4096));
     let cfg = WireCapConfig::builder()
         .cells(64)
         .chunks(32)
@@ -187,7 +187,7 @@ fn trace_json_serves_chrome_trace_events_from_a_live_run() {
         .build()
         .unwrap();
     let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .backend(nic.clone())
         .config(cfg)
         .groups(BuddyGroups::isolated(1))
         .start();
@@ -205,7 +205,7 @@ fn trace_json_serves_chrome_trace_events_from_a_live_run() {
         })
     };
     inject_flows(&nic, 2_000);
-    nic.stop();
+    nic.nic().stop();
     assert_eq!(consumer.join().unwrap(), 2_000);
 
     let (status, trace) = http_get(addr, "/trace.json");
@@ -264,11 +264,11 @@ fn sampler_escape_hatch_still_captures_and_serves() {
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "127.0.0.1:0");
     let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "0");
 
-    let nic = LiveNic::new(1, 4096);
+    let nic = NicSimBackend::new(LiveNic::new(1, 4096));
     let mut cfg = WireCapConfig::basic(64, 32, 0);
     cfg.capture_timeout_ns = 1_500_000;
     let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .backend(nic.clone())
         .config(cfg)
         .groups(BuddyGroups::isolated(1))
         .start();
@@ -286,7 +286,7 @@ fn sampler_escape_hatch_still_captures_and_serves() {
         })
     };
     inject_flows(&nic, 1_000);
-    nic.stop();
+    nic.nic().stop();
     assert_eq!(consumer.join().unwrap(), 1_000, "sampler off, capture on");
 
     // Direct snapshots still serve; the sampled series does not exist.
@@ -304,15 +304,15 @@ fn no_telemetry_env_means_no_endpoint() {
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "");
     let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "0");
 
-    let nic = LiveNic::new(1, 1024);
+    let nic = NicSimBackend::new(LiveNic::new(1, 1024));
     let mut cfg = WireCapConfig::basic(64, 32, 0);
     cfg.capture_timeout_ns = 1_500_000;
     let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .backend(nic.clone())
         .config(cfg)
         .groups(BuddyGroups::isolated(1))
         .start();
     assert!(engine.telemetry_addr().is_none(), "inert env, no endpoint");
-    nic.stop();
+    nic.nic().stop();
     engine.shutdown();
 }

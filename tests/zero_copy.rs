@@ -86,17 +86,16 @@ fn live_view_consumption_allocates_no_arena_buffers() {
     use netproto::{FlowKey, PacketBuilder};
     use nicsim::livenic::LiveNic;
     use std::net::Ipv4Addr;
-    use std::sync::Arc;
     use wirecap::arena::arena_allocations;
     use wirecap::buddy::BuddyGroups;
     use wirecap::live::LiveWireCap;
     use wirecap::NicSimBackend;
 
-    let nic = LiveNic::new(1, 4096);
+    let nic = NicSimBackend::new(LiveNic::new(1, 4096));
     let mut cfg = WireCapConfig::basic(64, 32, 0);
     cfg.capture_timeout_ns = 1_500_000;
     let engine = LiveWireCap::builder()
-        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .backend(nic.clone())
         .config(cfg)
         .groups(BuddyGroups::isolated(1))
         .start();
@@ -116,11 +115,10 @@ fn live_view_consumption_allocates_no_arena_buffers() {
     let mut c = engine.consumer(0);
     let mut consumed = 0u64;
     let mut bytes_seen = 0u64;
-    for i in 0..2_048u64 {
-        let pkt = b.build_packet(i, &flow, 128).unwrap();
-        while nic.inject(pkt.clone()).is_none() {
-            std::thread::yield_now();
-        }
+    for burst in 0..32u64 {
+        let packets =
+            (burst * 64..(burst + 1) * 64).map(|i| b.build_packet(i, &flow, 128).unwrap());
+        apps::live::inject(nic.as_ref(), packets, 0);
         // Drain as we go so the small pool never exhausts.
         while let Some(chunk) = c.try_chunk() {
             for p in c.view(&chunk).iter() {
@@ -130,7 +128,7 @@ fn live_view_consumption_allocates_no_arena_buffers() {
             c.recycle(chunk);
         }
     }
-    nic.stop();
+    nic.nic().stop();
     while let Some(chunk) = c.next_chunk() {
         for p in c.view(&chunk).iter() {
             bytes_seen += p.data.len() as u64;
