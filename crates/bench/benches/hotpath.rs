@@ -975,9 +975,13 @@ fn bench_hotpath(c: &mut Criterion) {
         flow_tracking,
         latency_slo,
     };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_hotpath.json");
+    // Cargo runs benches from the package root, `crates/bench`. Resolving
+    // against the working directory at run time, not the compile-time
+    // manifest path, keeps a copied tree that reuses a built target
+    // directory from writing into the tree it was built from.
+    let path = std::env::current_dir()
+        .expect("reading the working directory")
+        .join("../../BENCH_hotpath.json");
     let body = serde_json::to_string_pretty(&doc).expect("serializing results");
     std::fs::write(&path, body + "\n").expect("writing BENCH_hotpath.json");
     eprintln!("wrote {}", path.display());

@@ -23,8 +23,11 @@ use serde::Serialize;
 use std::net::Ipv4Addr;
 use wirecap::{NicSimBackend, WireCapConfig};
 
-/// Emulated disk bandwidth every point writes against, bytes/s.
+/// Emulated disk bandwidth per queue writer, bytes/s. `max_write_bps`
+/// throttles each queue's writer separately.
 const DISK_BPS: u64 = 8_000_000;
+/// Receive queues, one disk writer each.
+const QUEUES: usize = 2;
 /// Application payload bytes per generated packet.
 const PAYLOAD: usize = 300;
 
@@ -32,7 +35,8 @@ const PAYLOAD: usize = 300;
 struct Point {
     /// Offered load, packets/s (wall-clock paced).
     offered_pps: u64,
-    /// Offered load as a fraction of the emulated disk bandwidth.
+    /// Offered load as a fraction of the writers' total emulated disk
+    /// bandwidth (`QUEUES × DISK_BPS`).
     offered_over_disk: f64,
     injected: u64,
     delivered: u64,
@@ -47,7 +51,6 @@ struct Point {
 fn run_point(offered_pps: u64, secs: f64, dir: &std::path::Path) -> Point {
     std::fs::remove_dir_all(dir).ok();
     let total = ((offered_pps as f64 * secs) as u64).max(1);
-    let queues = 2;
     let mut cfg = WireCapConfig::basic(64, 48, 0);
     cfg.capture_timeout_ns = 2_000_000;
     let mut sink = DiskSinkConfig::new(dir);
@@ -68,7 +71,7 @@ fn run_point(offered_pps: u64, secs: f64, dir: &std::path::Path) -> Point {
         );
         b.build_packet(i * gap_ns, &flow, PAYLOAD).unwrap()
     });
-    let backend = NicSimBackend::new(LiveNic::new(queues, 8192));
+    let backend = NicSimBackend::new(LiveNic::new(QUEUES, 8192));
     let out = run(backend, cfg, SinkMode::Disk(sink), traffic, offered_pps);
     let report = out.disk.as_ref().expect("disk mode");
     assert!(
@@ -82,7 +85,7 @@ fn run_point(offered_pps: u64, secs: f64, dir: &std::path::Path) -> Point {
     let wire_bytes = (PAYLOAD + 42 + 36) as f64;
     let point = Point {
         offered_pps,
-        offered_over_disk: offered_pps as f64 * wire_bytes / DISK_BPS as f64,
+        offered_over_disk: offered_pps as f64 * wire_bytes / (QUEUES as u64 * DISK_BPS) as f64,
         injected: total,
         delivered,
         written: report.written_packets(),
@@ -103,8 +106,8 @@ fn main() {
     let opts = Opts::parse();
     let secs = if opts.small { 0.4 } else { 2.0 };
     let dir = std::env::temp_dir().join(format!("wirecap-fig-capture-save-{}", std::process::id()));
-    // From well under the disk's rate (~21k pps saturates 8 MB/s) to
-    // 4× over it.
+    // From well under the disks' rate (~42k pps saturates 2 × 8 MB/s)
+    // to about 2× over it.
     let sweep: &[u64] = &[5_000, 10_000, 20_000, 40_000, 80_000];
     let points: Vec<Point> = sweep
         .iter()
@@ -128,7 +131,7 @@ fn main() {
     write_table(
         &opts.out,
         "fig_capture_save",
-        "Capture-and-save — disk-leg loss rate vs. offered load over an 8 MB/s disk (capture side lossless)",
+        "Capture-and-save — disk-leg loss rate vs. offered load over 2 × 8 MB/s disks (capture side lossless)",
         &[
             "offered pps",
             "load/disk",

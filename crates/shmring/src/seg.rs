@@ -15,35 +15,61 @@ use std::sync::atomic::{AtomicU32, AtomicU64};
 
 use crate::SLOT_BYTES;
 
-/// Descriptor-done: the producer's write-back bit. Set (release) after
-/// the payload and descriptor fields are written; cleared (release) by
-/// the consumer's recycle before the tail advances. The consumer polls
-/// this bit instead of re-reading the head — the ixy observation that
-/// touching RDH costs a device register read while DD is just memory.
-pub(crate) const DD: u32 = 1;
+/// The buffer slot of ring position `pos`, and the lap tag that
+/// publishes it in the slot's status word: `pos / n + 1`, from one
+/// division. The consumer checks a slot only for its cursor's lap, and
+/// the slot then holds that lap's tag or the previous lap's, so tags
+/// that differ by one compare correctly modulo 2^32 — the truncation to
+/// `u32` is deliberate and wrap-safe. The zeroed segment holds tag 0,
+/// i.e. "lap −1 published", so nothing reads as ready.
+pub(crate) fn slot_and_tag(pos: u64, n: u64) -> (usize, u32) {
+    let lap = pos / n;
+    ((pos - lap * n) as usize, (lap as u32).wrapping_add(1))
+}
 
-/// The ring's control block, at offset 0 of the segment. Head and tail
-/// are free-running u64 counts (never wrapped), so `head - tail` is the
-/// occupancy and indexing is `count % n`.
-#[repr(C)]
-pub(crate) struct RingHeader {
-    /// Frames the producer has published (RDH analog).
+/// The producers' cache line: written on every `produce`, never by the
+/// consumer.
+#[repr(C, align(128))]
+pub(crate) struct ProducerLine {
+    /// Positions reserved so far (RDH analog). Producers claim position
+    /// `head` with one CAS; every reserved position is accepted and
+    /// will be published.
     pub head: AtomicU64,
-    /// Frames the consumer has recycled back to the producer (RDT
-    /// analog): slots below this are reusable.
-    pub tail: AtomicU64,
-    /// Frames the consumer has polled (lent to the engine); always
-    /// `tail <= next_read <= head`.
-    pub next_read: AtomicU64,
-    /// Frames ever accepted into the ring.
-    pub received: AtomicU64,
-    /// Frames dropped because the ring was full — "no receive
+    /// A copy of `tail` some producer loaded (Acquire) and stored
+    /// (Release). It only trails the real tail, so `head - cached_tail`
+    /// over-estimates occupancy: producers reload `tail` only when this
+    /// cached room runs out.
+    pub cached_tail: AtomicU64,
+    /// Frames refused because the ring was full — "no receive
     /// descriptor in the ready state".
     pub dropped: AtomicU64,
 }
 
+/// The consumer's cache line: written by the capture thread only.
+#[repr(C, align(128))]
+pub(crate) struct ConsumerLine {
+    /// Positions recycled back to the producers (RDT analog): slots
+    /// below this are reusable. One Release store per recycle.
+    pub tail: AtomicU64,
+    /// Positions polled (lent to the engine); always
+    /// `tail <= next_read <= head`.
+    pub next_read: AtomicU64,
+}
+
+/// The ring's control block, at offset 0 of the segment. Counters are
+/// free-running u64 positions (never wrapped), so `head - tail` is the
+/// occupancy and indexing is `pos % n`. Producer and consumer state sit
+/// 128 B apart, so neither side's writes invalidate the other's line
+/// (or its adjacent-line prefetch pair).
+#[repr(C)]
+pub(crate) struct RingHeader {
+    pub producer: ProducerLine,
+    pub consumer: ConsumerLine,
+}
+
 /// One advanced receive descriptor (write-back layout): timestamp,
-/// lengths, and the status word carrying [`DD`].
+/// lengths, and the status word carrying the lap tag of
+/// [`slot_and_tag`].
 #[repr(C)]
 pub(crate) struct RxDescriptor {
     /// Arrival timestamp, nanoseconds.
@@ -52,15 +78,18 @@ pub(crate) struct RxDescriptor {
     pub wire_len: AtomicU32,
     /// Valid bytes in the buffer slot (≤ [`SLOT_BYTES`]).
     pub buf_len: AtomicU32,
-    /// Status word; bit 0 is [`DD`].
+    /// The lap-tagged done word: equals the lap tag of `pos` once the
+    /// frame at `pos` is published.
     pub status: AtomicU32,
     _pad: AtomicU32,
 }
 
 /// Header region size; descriptors start here (their own cache lines).
-const HDR_BYTES: usize = 128;
+const HDR_BYTES: usize = 256;
 /// Bytes per descriptor (kept power-of-two for cheap indexing).
 const DESC_BYTES: usize = 32;
+const _: () = assert!(std::mem::size_of::<RingHeader>() == HDR_BYTES);
+const _: () = assert!(std::mem::size_of::<RxDescriptor>() <= DESC_BYTES);
 
 /// The mapped segment plus its geometry: typed views over raw memory.
 pub(crate) struct RingMem {
@@ -70,10 +99,17 @@ pub(crate) struct RingMem {
 }
 
 // SAFETY: the raw base pointer refers to a region owned by this value
-// for its whole lifetime; all mutation goes through atomics or through
-// the buffer-slot protocol (a slot is written only while the producer
-// owns it and read only between DD-publish and recycle), which the
-// ShmQueue protocol enforces.
+// for its whole lifetime, and every header and descriptor field is an
+// atomic. The only non-atomic memory is the buffer slots, and the
+// ShmQueue protocol gives each slot exactly one owner at a time: the
+// producer whose `head` CAS won position `pos` owns slot `pos % n`
+// until its lap-tag Release store; from the consumer's matching Acquire
+// until its `tail` Release store past `pos`, the consumer owns it
+// read-only; a producer may reserve `pos + n` only after an Acquire
+// load that observed that `tail` (directly or through `cached_tail`'s
+// Release/Acquire pair), so every write of a slot happens-after the
+// last read of its previous lap and every read happens-after its
+// write.
 unsafe impl Send for RingMem {}
 unsafe impl Sync for RingMem {}
 
@@ -84,12 +120,14 @@ impl RingMem {
         let len = HDR_BYTES + n * DESC_BYTES + n * SLOT_BYTES;
         let base = alloc::map_zeroed(len);
         // A zeroed region is a valid initial state: head = tail =
-        // next_read = 0, every descriptor's status has DD clear.
+        // next_read = cached_tail = 0, and every descriptor's status is
+        // tag 0, which no position publishes.
         RingMem { base, len, n }
     }
 
     pub(crate) fn header(&self) -> &RingHeader {
-        // SAFETY: offset 0 is in-bounds, page-aligned, zero-initialized;
+        // SAFETY: offset 0 is in-bounds, zero-initialized and
+        // page-aligned, which covers RingHeader's 128 B alignment;
         // RingHeader is all atomics (valid for any bit pattern).
         unsafe { &*(self.base as *const RingHeader) }
     }
@@ -110,25 +148,32 @@ impl RingMem {
         }
     }
 
-    /// Copies `data` into buffer slot `i`. Caller must own the slot
-    /// (producer side, between recycle and DD-publish).
+    /// Copies `data` into buffer slot `i`. Caller must own the slot:
+    /// it won the `head` CAS for a position `pos` with `pos % n == i`
+    /// and has not yet stored that position's lap tag.
     pub(crate) fn write_buf(&self, i: usize, data: &[u8]) {
         assert!(data.len() <= SLOT_BYTES);
-        // SAFETY: destination is in-bounds and exclusively owned by the
-        // producer for this slot under the ring protocol; source and
-        // destination cannot overlap (segment vs caller memory).
+        // SAFETY: destination is in-bounds. The winning CAS makes this
+        // producer the slot's only writer (no other producer can hold
+        // the same position, and `pos + n` needs `tail > pos`, which
+        // needs this write published first); the consumer's last read
+        // of the previous lap happens-before this write through the
+        // `tail` Release / Acquire pair the reservation checked. Source
+        // and destination cannot overlap (segment vs caller memory).
         unsafe { std::ptr::copy_nonoverlapping(data.as_ptr(), self.buf_ptr(i), data.len()) };
     }
 
     /// Borrows `len` bytes of buffer slot `i`. Caller must hold the
-    /// slot readable (consumer side, between DD observation and
-    /// recycle); the protocol guarantees no writer touches it while the
-    /// borrow is lent to the poll sink.
+    /// slot readable: it observed the current lap's tag with Acquire
+    /// and has not yet moved `tail` past the position. The protocol
+    /// guarantees no writer touches the slot while the borrow is lent
+    /// to the poll sink.
     pub(crate) fn read_buf(&self, i: usize, len: usize) -> &[u8] {
         assert!(len <= SLOT_BYTES);
-        // SAFETY: in-bounds, initialized by the producer's write (DD
-        // was observed with acquire ordering), not mutated until the
-        // consumer recycles the slot.
+        // SAFETY: in-bounds; the producer's write happens-before this
+        // read (its lap-tag Release was observed with Acquire), and no
+        // producer can reserve the slot's next lap until the consumer's
+        // `tail` Release store, which follows the end of the borrow.
         unsafe { std::slice::from_raw_parts(self.buf_ptr(i), len) }
     }
 }
