@@ -16,6 +16,24 @@
 //!   [`RotatingWriter`]'s batch buffer, and commits one `write` syscall
 //!   per chunk batch.
 //!
+//! # Wake protocol
+//!
+//! Neither thread polls while idle:
+//!
+//! * the drainer waits in [`wirecap::live::LiveConsumer::idle`] — the
+//!   engine's spin → yield → park ladder on its delivery gate — until
+//!   a chunk is claimable, the stream ends, or the return ring holds a
+//!   chunk. Capture notifies that gate on every publish and at close;
+//!   the writer notifies it ([`ChunkLens::wake_consumers`]) after each
+//!   batch it pushes back for recycling. The end-of-stream wait for
+//!   the writer's last returns parks the same way;
+//! * the writer parks on a per-queue sink gate (timeout: the engine's
+//!   `park_timeout_ns`) when the handoff is empty. The drainer notifies
+//!   it after each handoff push and after setting `done`.
+//!
+//! Each waiter takes its gate's ticket *before* its final emptiness
+//! check, so a notify landing after the check ends the park at once.
+//!
 //! # Graceful degradation
 //!
 //! The handoff ring is bounded. When the writer falls behind — slow
@@ -46,6 +64,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wirecap::live::{ChunkLens, LiveChunk, LiveWireCap};
+use wirecap::WakeupGate;
 
 /// Chunks the writer drains from the handoff per commit batch.
 const WRITE_BATCH_CHUNKS: usize = 8;
@@ -200,21 +219,23 @@ impl DiskSink {
         // once. Offloading can route any queue's chunks to this
         // consumer, so the bound is all slots in the engine, not R.
         let return_capacity = queues * engine.config().r + 1;
+        let park_timeout = Duration::from_nanos(engine.config().park_timeout_ns.max(1));
         let mut drainers = Vec::with_capacity(queues);
         let mut writers = Vec::with_capacity(queues);
         for q in 0..queues {
-            let handoff = Arc::new(ArrayQueue::<LiveChunk>::new(cfg.handoff_chunks.max(1)));
-            let returns = Arc::new(ArrayQueue::<LiveChunk>::new(return_capacity));
-            let done = Arc::new(AtomicBool::new(false));
+            let link = Arc::new(Link {
+                handoff: ArrayQueue::new(cfg.handoff_chunks.max(1)),
+                returns: ArrayQueue::new(return_capacity),
+                done: AtomicBool::new(false),
+                writer_gate: WakeupGate::new(),
+            });
             drainers.push(spawn_drainer(
                 q,
                 engine.consumer(q),
                 lens.clone(),
-                Arc::clone(&handoff),
-                Arc::clone(&returns),
-                Arc::clone(&done),
+                Arc::clone(&link),
             ));
-            writers.push(spawn_writer(q, cfg, lens.clone(), handoff, returns, done)?);
+            writers.push(spawn_writer(q, cfg, lens.clone(), link, park_timeout)?);
         }
         Ok(DiskSink { drainers, writers })
     }
@@ -245,13 +266,25 @@ impl DiskSink {
     }
 }
 
+/// What one queue's drainer and writer share.
+struct Link {
+    /// Drainer → writer: chunks to encode. Bounded; a full ring sheds.
+    handoff: ArrayQueue<LiveChunk>,
+    /// Writer → drainer: chunks to recycle. Holds every chunk in the
+    /// engine, so a push never fails.
+    returns: ArrayQueue<LiveChunk>,
+    /// Set by the drainer once its stream has ended.
+    done: AtomicBool,
+    /// The writer parks here; the drainer notifies it after each
+    /// handoff push and after setting `done`.
+    writer_gate: WakeupGate,
+}
+
 fn spawn_drainer(
     q: usize,
     mut consumer: wirecap::live::LiveConsumer,
     lens: ChunkLens,
-    handoff: Arc<ArrayQueue<LiveChunk>>,
-    returns: Arc<ArrayQueue<LiveChunk>>,
-    done: Arc<AtomicBool>,
+    link: Arc<Link>,
 ) -> JoinHandle<DrainOutcome> {
     std::thread::Builder::new()
         .name(format!("capdisk-drain-{q}"))
@@ -266,7 +299,7 @@ fn spawn_drainer(
                 // and keep doing it while idle, not just when a new
                 // chunk arrives, or the returned slots sit here while
                 // the capture pool starves.
-                while let Some(back) = returns.pop() {
+                while let Some(back) = link.returns.pop() {
                     consumer.recycle(back);
                     recycled += 1;
                 }
@@ -274,7 +307,9 @@ fn spawn_drainer(
                     if consumer.is_done() {
                         break;
                     }
-                    std::thread::yield_now();
+                    // Capture notifies the delivery gate on publish and
+                    // close, the writer after it returns chunks.
+                    consumer.idle(|c| c.has_work() || !link.returns.is_empty());
                     continue;
                 };
                 delivered += chunk.len() as u64;
@@ -284,8 +319,11 @@ fn spawn_drainer(
                 if chunk.is_sampled() {
                     chunk.stamp_disk_handoff(telemetry::clock::mono_ns());
                 }
-                match handoff.push(chunk) {
-                    Ok(()) => handed += 1,
+                match link.handoff.push(chunk) {
+                    Ok(()) => {
+                        handed += 1;
+                        link.writer_gate.notify();
+                    }
                     Err(chunk) => {
                         // Writer is behind and the bounded handoff is
                         // full: shed this chunk from the disk leg,
@@ -300,14 +338,15 @@ fn spawn_drainer(
             }
             // Stream ended: let the writer finish, then recycle the
             // stragglers it hands back.
-            done.store(true, Ordering::Release);
+            link.done.store(true, Ordering::Release);
+            link.writer_gate.notify();
             while recycled < handed {
-                match returns.pop() {
+                match link.returns.pop() {
                     Some(back) => {
                         consumer.recycle(back);
                         recycled += 1;
                     }
-                    None => std::thread::yield_now(),
+                    None => consumer.idle(|_| !link.returns.is_empty()),
                 }
             }
             DrainOutcome {
@@ -322,9 +361,8 @@ fn spawn_writer(
     q: usize,
     cfg: &DiskSinkConfig,
     lens: ChunkLens,
-    handoff: Arc<ArrayQueue<LiveChunk>>,
-    returns: Arc<ArrayQueue<LiveChunk>>,
-    done: Arc<AtomicBool>,
+    link: Arc<Link>,
+    park_timeout: Duration,
 ) -> io::Result<JoinHandle<WriteOutcome>> {
     let mut writer = RotatingWriter::new(
         &cfg.dir,
@@ -349,7 +387,9 @@ fn spawn_writer(
             loop {
                 let mut batch_packets = 0u64;
                 while batch.len() < WRITE_BATCH_CHUNKS {
-                    let Some(chunk) = handoff.pop() else { break };
+                    let Some(chunk) = link.handoff.pop() else {
+                        break;
+                    };
                     if io_error.is_none() {
                         // Zero-copy encode: the view borrows the chunk,
                         // which stays with this thread until pushed
@@ -368,7 +408,22 @@ fn spawn_writer(
                     }
                     batch.push(chunk);
                 }
-                let popped = batch.len();
+                if batch.is_empty() {
+                    // Ticket before the final check: a handoff push or
+                    // the end-of-stream flag after it ends the park.
+                    // `done` is read before the emptiness check, so a
+                    // chunk pushed before `done` was set is never left
+                    // behind.
+                    let ticket = link.writer_gate.ticket();
+                    let done = link.done.load(Ordering::Acquire);
+                    if link.handoff.is_empty() {
+                        if done {
+                            break;
+                        }
+                        link.writer_gate.park(ticket, park_timeout);
+                    }
+                    continue;
+                }
                 if batch_packets > 0 {
                     match writer.commit_batch() {
                         Ok(bytes) => {
@@ -408,17 +463,12 @@ fn spawn_writer(
                     let mut back = chunk;
                     // The return ring is sized for every slot in the
                     // engine, so this succeeds; spin defensively.
-                    while let Err(c) = returns.push(back) {
+                    while let Err(c) = link.returns.push(back) {
                         back = c;
                         std::thread::yield_now();
                     }
                 }
-                if popped == 0 && batch_packets == 0 {
-                    if done.load(Ordering::Acquire) && handoff.is_empty() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
+                lens.wake_consumers();
             }
             if io_error.is_none() {
                 if let Err(e) = writer.finish() {

@@ -392,6 +392,7 @@ impl LiveWireCap {
             cursor: 0,
             tally: vec![std::cell::Cell::new((0, 0)); queues],
             delivered_ns: std::cell::Cell::new(clock::mono_ns()),
+            poller: AdaptivePoller::from_config(&self.cfg),
         }
     }
 
@@ -918,6 +919,13 @@ impl ChunkLens {
         self.shared.claims.len()
     }
 
+    /// Wakes consumers parked in [`LiveConsumer::idle`]. For threads
+    /// that hand a consumer work outside the claim queue, such as chunks
+    /// returned for recycling: call it after the work is visible.
+    pub fn wake_consumers(&self) {
+        self.shared.delivery_gate.notify();
+    }
+
     /// Queue `q`'s disk-sink counter shard (multi-writer counters; the
     /// disk subsystem fires them per chunk or batch, never per packet).
     pub fn disk(&self, q: usize) -> &telemetry::DiskSide {
@@ -986,6 +994,9 @@ pub struct LiveConsumer {
     /// application — so the latency interval closes here rather than at
     /// recycle, and the clock cost is one read per batch, not per chunk.
     delivered_ns: std::cell::Cell<u64>,
+    /// The engine's spin → yield → park ladder for [`Self::idle`];
+    /// reset by every refill that claims a chunk.
+    poller: AdaptivePoller,
 }
 
 impl LiveConsumer {
@@ -1025,6 +1036,7 @@ impl LiveConsumer {
         }
         let got = self.inbox.len() > first;
         if got {
+            self.poller.reset();
             // One clock read per batch stamps the delivery moment for
             // every chunk just claimed (see `delivered_ns`).
             let now = clock::mono_ns();
@@ -1071,8 +1083,9 @@ impl LiveConsumer {
         self.inbox.pop_front()
     }
 
-    /// Takes the next whole chunk, blocking (with yields) until one is
-    /// available or the stream ends.
+    /// Takes the next whole chunk, waiting in [`Self::idle`] (spin,
+    /// then yield, then park on the engine's delivery gate) until one
+    /// is available or the stream ends.
     pub fn next_chunk(&mut self) -> Option<LiveChunk> {
         loop {
             if let Some(chunk) = self.inbox.pop_front() {
@@ -1089,7 +1102,33 @@ impl LiveConsumer {
                 }
                 return None;
             }
-            std::thread::yield_now();
+            self.idle(Self::has_work);
+        }
+    }
+
+    /// True when a chunk is in hand or claimable, or the stream has
+    /// ended: the condition [`Self::next_chunk`] waits for.
+    pub fn has_work(&self) -> bool {
+        let claims = &self.shared.claims[self.q];
+        !self.inbox.is_empty() || !claims.is_empty() || claims.is_closed()
+    }
+
+    /// One idle round for a consumer that found nothing to do. Takes a
+    /// ticket on the engine's delivery gate, then, unless `ready` holds,
+    /// steps the engine's [`AdaptivePoller`] ladder: spin for
+    /// `spin_iters` rounds, yield for `yield_iters`, then park for up to
+    /// `park_timeout_ns`. Any refill that claims a chunk restarts the
+    /// ladder.
+    ///
+    /// The gate is notified by every capture publish and close, and by
+    /// [`ChunkLens::wake_consumers`]; a notify after the ticket ends the
+    /// park at once. So `ready` must re-check every work source the
+    /// caller waits on (at least [`Self::has_work`] while the stream is
+    /// live), and each of them must notify the gate after it adds work.
+    pub fn idle(&mut self, ready: impl FnOnce(&Self) -> bool) {
+        let ticket = self.shared.delivery_gate.ticket();
+        if !ready(self) {
+            self.poller.idle(&self.shared.delivery_gate, ticket);
         }
     }
 

@@ -28,7 +28,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "==> .rs line totals (tracked per change)"
-for dir in crates/core crates/bench crates/apps tests examples; do
+for dir in crates/core crates/bench crates/apps crates/capdisk tests examples; do
     lines=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)
     echo "    $dir: $lines"
 done

@@ -142,3 +142,57 @@ fn throttled_disk_degrades_gracefully_without_stalling_capture() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Idle sink threads are woken by notifies, not by park timeouts. The
+/// park timeout is raised to 50 ms and traffic arrives in bursts about
+/// 60 ms apart, so the drainer and the writer are parked when each
+/// chunk is published. A burst half-fills a chunk, which the capture
+/// timeout seals 2 ms later: the seal is then not set off by the
+/// drainer's recycle, which wakes the capture thread too. A lost
+/// publish notify (capture → drainer) would push the queue's
+/// seal-to-delivery p50 toward 50 ms; a lost handoff notify (drainer →
+/// writer) would do the same to the disk stage's p50.
+#[test]
+fn idle_sink_threads_wake_on_notify_not_timeout() {
+    let dir = tempdir("wake");
+    let bursts = 12u64;
+    let total = bursts * 64;
+    let mut cfg = WireCapConfig::basic(128, 32, 0);
+    cfg.capture_timeout_ns = 2_000_000;
+    cfg.park_timeout_ns = 50_000_000;
+    cfg.span_sample_n = 1;
+    let mut b = PacketBuilder::new();
+    let flow = FlowKey::udp(
+        Ipv4Addr::new(10, 3, 3, 3),
+        3_333,
+        Ipv4Addr::new(131, 225, 2, 1),
+        443,
+    );
+    let traffic = (0..total).map(move |i| b.build_packet(i * 1_000, &flow, 200).unwrap());
+    // `inject` releases bursts of 64 packets: 64 / 1 067 pps ≈ 60 ms.
+    let out = apps::drive(
+        NicSimBackend::new(LiveNic::new(1, 4096)),
+        cfg,
+        apps::Consumers::Disk(DiskSinkConfig::new(&dir)),
+        traffic,
+        1_067,
+    );
+    let report = out.disk.as_ref().expect("disk mode");
+    assert!(report.is_conserved(), "unaccounted packets: {report:?}");
+    assert_eq!(out.delivered, total);
+    assert_eq!(report.written_packets(), total);
+
+    let q = &out.snapshot.queues[0];
+    assert!(q.stage_disk_ns.count > 0, "no sampled disk stages");
+    let disk_p50 = q.stage_disk_ns.quantile(0.5);
+    let delivery_p50 = q.latency_ns.quantile(0.5);
+    assert!(
+        disk_p50 < 5_000_000,
+        "disk stage p50 {disk_p50} ns: the writer waits out its park timeout"
+    );
+    assert!(
+        delivery_p50 < 5_000_000,
+        "seal-to-delivery p50 {delivery_p50} ns: the drainer waits out its park timeout"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

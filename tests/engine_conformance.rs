@@ -227,9 +227,12 @@ mod live_backends {
         for backend in backends(1, 8) {
             let name = backend.name();
             // 3 000 packets outgrow the 32 x 64-cell pool plus the
-            // ring, so capture must backpressure into refusals.
+            // ring, so capture must backpressure into refusals. That
+            // needs the consumer slower than the injector: at 5 ms per
+            // chunk it drains about 13 packets/ms, well under what even
+            // an unoptimized build injects.
             let consumers =
-                Consumers::per_queue(|_| |_| std::thread::sleep(Duration::from_micros(200)));
+                Consumers::per_queue(|_| |_| std::thread::sleep(Duration::from_millis(5)));
             let run = drive(
                 backend,
                 live_cfg(),
